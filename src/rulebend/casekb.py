@@ -28,6 +28,7 @@ from .model import (
     DecisionContext,
     ReminderState,
     RuleVerdict,
+    SIMULATED_KINDS,
     VALUE_TAGS,
 )
 
@@ -47,24 +48,13 @@ _MISSED_BUCKETS = ("0", "1", "2", "3", "4plus")
 _FOLLOW_UP_BUCKETS = ("0", "1", "2", "3plus")
 _STATES = tuple(state.value for state in ReminderState)
 
-#: The behaviour kinds cases may be recorded for.  Restraint is not a
-#: case-base concept: it is never proposed, so never judged.
-_CASE_KINDS = (
-    BehaviourKind.REMIND,
-    BehaviourKind.SNOOZE,
-    BehaviourKind.FOLLOW_UP,
-    BehaviourKind.RECORD,
-    BehaviourKind.REPORT,
-    BehaviourKind.ACK_WAIT,
-)
-
 FEATURE_NAMES: Tuple[str, ...] = (
     tuple(f"epsilon_{e}" for e in _EPSILON_CLASSES)
     + tuple(f"missed_{b}" for b in _MISSED_BUCKETS)
     + tuple(f"follow_ups_{b}" for b in _FOLLOW_UP_BUCKETS)
     + tuple(f"state_{s}" for s in _STATES)
     + ("acknowledged_without_taking",)
-    + tuple(f"behaviour_{k.value}" for k in _CASE_KINDS)
+    + tuple(f"behaviour_{k.value}" for k in SIMULATED_KINDS)
     + ("autonomy_utility", "wellbeing_utility")
 )
 
@@ -100,12 +90,13 @@ def feature_vector(
 ) -> Tuple[float, ...]:
     """Encode one (situation, behaviour, utilities) point.
 
-    Requires: epsilon_m in {1,2,3}; behaviour one of the six case kinds.
+    Requires: epsilon_m in {1,2,3}; behaviour one of SIMULATED_KINDS
+              (restraint is never proposed, so never judged).
     Ensures:  a DIMENSION-long tuple matching FEATURE_NAMES.
     """
     if epsilon_m not in _EPSILON_CLASSES:
         raise KBError(f"epsilon_m must be 1..3, got {epsilon_m!r}")
-    if behaviour not in _CASE_KINDS:
+    if behaviour not in SIMULATED_KINDS:
         raise KBError(f"behaviour {behaviour!r} is not case-base encodable")
     features = [0.0] * DIMENSION
     features[_EPSILON_CLASSES.index(epsilon_m)] = 1.0
@@ -118,8 +109,8 @@ def feature_vector(
     offset += len(_STATES)
     features[offset] = 1.0 if acknowledged_without_taking else 0.0
     offset += 1
-    features[offset + _CASE_KINDS.index(behaviour)] = 1.0
-    offset += len(_CASE_KINDS)
+    features[offset + SIMULATED_KINDS.index(behaviour)] = 1.0
+    offset += len(SIMULATED_KINDS)
     features[offset] = float(autonomy_utility)
     features[offset + 1] = float(wellbeing_utility)
     return tuple(features)
@@ -160,6 +151,14 @@ class Case:
     def __post_init__(self) -> None:
         if not self.case_id:
             raise KBError("case_id must be non-empty")
+        for label, value in (
+            ("missed_doses", self.missed_doses),
+            ("autonomy_utility", self.autonomy_utility),
+            ("wellbeing_utility", self.wellbeing_utility),
+            ("acceptability", self.acceptability),
+        ):
+            if not math.isfinite(value):
+                raise KBError(f"case {self.case_id}: {label} must be finite, got {value!r}")
         if not (0.0 <= self.acceptability <= 1.0):
             raise KBError(f"acceptability outside [0,1]: {self.acceptability!r}")
         if not self.intention:
@@ -254,12 +253,7 @@ class CaseBase:
         verdict: RuleVerdict,
         k: int = DEFAULT_NEIGHBOURS,
     ) -> CaseOpinion:
-        """Weighted-vote opinion of the K nearest precedents.
-
-        The acceptability score is the weighted mean over neighbours;
-        the behaviour is acceptable when the score reaches 0.5.  The
-        opinion's intentions are the union of intention tags over the
-        neighbours on the winning side of that vote.
+        """Precedent opinion on one candidate behaviour (see ``vote``).
 
         With no knowledge at all, the opinion defers to the rule
         verdict: permissible behaviours read as acceptable (score 1.0)
@@ -284,6 +278,20 @@ class CaseBase:
             autonomy_utility,
             wellbeing_utility,
         )
+        return self.vote(query, k=k)
+
+    def vote(
+        self, query: Sequence[float], k: int = DEFAULT_NEIGHBOURS
+    ) -> CaseOpinion:
+        """Weighted-vote opinion of the K nearest cases to a query vector.
+
+        The acceptability score is the weighted mean over neighbours;
+        the query is acceptable when the score reaches 0.5.  The
+        opinion's intentions are the union of intention tags over the
+        neighbours on the winning side of that vote.
+
+        Requires: a non-empty case base.
+        """
         neighbours = self.retrieve(query, k=k)
         weights = [case_weight(dist) for _, dist in neighbours]
         total = math.fsum(weights)
@@ -292,7 +300,7 @@ class CaseBase:
         ) / total
         acceptable = score >= 0.5
         winning: set = set()
-        for (case, _), _w in zip(neighbours, weights):
+        for case, _ in neighbours:
             on_winning_side = (
                 case.acceptability >= 0.5 if acceptable else case.acceptability < 0.5
             )

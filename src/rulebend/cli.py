@@ -22,9 +22,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .casekb import CaseBase, KBError, case_weight, feature_vector
+from .casekb import CaseBase, CaseOpinion, KBError
 from .model import (
-    AUTONOMY,
     Behaviour,
     BehaviourKind,
     CharacterProfile,
@@ -34,12 +33,10 @@ from .model import (
     ModelError,
     ProfileError,
     ReminderState,
-    WELLBEING,
     validate_profile,
 )
 from .rules import evaluate_rules
 from .sim import (
-    MAX_STEPS,
     Scenario,
     ScenarioError,
     SignatureRegistry,
@@ -55,30 +52,25 @@ EXIT_INVALID = 1
 EXIT_MISMATCH = 2
 EXIT_RUNTIME = 3
 
-PROFILES_FORMAT_VERSION = 1
+PROFILES_FORMAT_VERSION = 2
 PROFILE_ORDER = ("A", "AR", "ARW", "WR")
 CASE_ORDER = tuple(f"case{i}" for i in range(1, 7))
 
 #: qualitative trait constraints used by `calibrate`, per profile.  Each
 #: entry maps trait -> (lo, hi) inclusive; `extra` is a predicate over
 #: the (wellbeing, autonomy, risk) triple.
-TRAIT_RANGE = (0, 10)
 CALIBRATION_CONSTRAINTS = {
     "A": {
-        "precedence": (AUTONOMY,),
         "ranges": {"wellbeing": (0, 10), "autonomy": (6, 10), "risk": (0, 1)},
     },
     "AR": {
-        "precedence": (AUTONOMY,),
         "ranges": {"wellbeing": (0, 10), "autonomy": (6, 10), "risk": (6, 10)},
     },
     "ARW": {
-        "precedence": (AUTONOMY,),
         "ranges": {"wellbeing": (3, 7), "autonomy": (3, 7), "risk": (3, 7)},
         "predicate": lambda w, a, r: a > w,
     },
     "WR": {
-        "precedence": (WELLBEING,),
         "ranges": {"wellbeing": (6, 10), "autonomy": (0, 10), "risk": (0, 10)},
     },
 }
@@ -124,7 +116,6 @@ def load_profiles(path: Path | str) -> Dict[str, CharacterProfile]:
                 wellbeing=float(entry["wellbeing"]),
                 autonomy=float(entry["autonomy"]),
                 risk_propensity=float(entry["risk_propensity"]),
-                precedence=frozenset(entry["precedence"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ProfileError(f"{path}: profile {name!r} invalid ({exc})") from exc
@@ -134,10 +125,7 @@ def load_profiles(path: Path | str) -> Dict[str, CharacterProfile]:
 
 
 def _load_kb(path_arg: Optional[str]) -> CaseBase:
-    path = Path(path_arg) if path_arg else _packaged("seed_kb.jsonl")
-    if not path.exists():
-        raise KBError(f"case base not found: {path}")
-    return CaseBase.load(path)
+    return CaseBase.load(path_arg or _packaged("seed_kb.jsonl"))
 
 
 def _load_profile_set(path_arg: Optional[str]) -> Dict[str, CharacterProfile]:
@@ -153,6 +141,14 @@ def _resolve_scenario(token: str) -> Scenario:
     if token in CASE_ORDER:
         return Scenario.from_file(_packaged(f"scenarios/{token}.json"))
     raise ScenarioError(f"scenario file not found: {token}")
+
+
+def _packaged_scenarios() -> Dict[str, Scenario]:
+    """The six packaged scenarios in CASE_ORDER, parsed once per command."""
+    return {
+        case: Scenario.from_file(_packaged(f"scenarios/{case}.json"))
+        for case in CASE_ORDER
+    }
 
 
 def _load_expected(path_arg: Optional[str]) -> Dict[str, Dict[str, int]]:
@@ -264,15 +260,12 @@ def _run_matrix(
     kb: CaseBase,
     profiles: Dict[str, CharacterProfile],
     risk_mode: str,
-    profile_names: Tuple[str, ...] = PROFILE_ORDER,
-    case_names: Tuple[str, ...] = CASE_ORDER,
 ) -> Dict[str, Dict[str, int]]:
     registry = SignatureRegistry()
     grid: Dict[str, Dict[str, int]] = {}
-    for case in case_names:
-        scenario = _resolve_scenario(case)
+    for case, scenario in _packaged_scenarios().items():
         row = {}
-        for name in profile_names:
+        for name in PROFILE_ORDER:
             try:
                 episode = run_episode(scenario, profiles[name], kb, risk_mode=risk_mode)
             except Exception as exc:
@@ -355,8 +348,18 @@ def _constrained_points(name: str):
                     yield (w, a, r)
 
 
+def _profile_at(name: str, point: Tuple[int, int, int]) -> CharacterProfile:
+    w, a, r = point
+    return CharacterProfile(name, float(w), float(a), float(r))
+
+
+def _profile_entry(point: Tuple[int, int, int]) -> Dict[str, int]:
+    return dict(zip(("wellbeing", "autonomy", "risk_propensity"), point))
+
+
 def _profile_column(
     kb: CaseBase,
+    scenarios: Dict[str, Scenario],
     profile: CharacterProfile,
     risk_mode: str,
     target: Dict[str, int],
@@ -366,8 +369,7 @@ def _profile_column(
     registry = SignatureRegistry()
     matches = 0
     column: Dict[str, int] = {}
-    for case in CASE_ORDER:
-        scenario = _resolve_scenario(case)
+    for case, scenario in scenarios.items():
         episode = run_episode(scenario, profile, kb, risk_mode=risk_mode)
         got = behaviour_id(episode, registry)
         column[case] = got
@@ -388,13 +390,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         profiles_dict = {}
         for name in PROFILE_ORDER:
             point = next(_constrained_points(name))
-            spec = CALIBRATION_CONSTRAINTS[name]
-            profiles_dict[name] = {
-                "wellbeing": point[0],
-                "autonomy": point[1],
-                "risk_propensity": point[2],
-                "precedence": list(spec["precedence"]),
-            }
+            profiles_dict[name] = _profile_entry(point)
             log_lines.append(f"{name}: constraint-feasible default {point}")
         result = {"format_version": PROFILES_FORMAT_VERSION, "profiles": profiles_dict}
         (out / "calibrated_profiles.json").write_text(
@@ -410,25 +406,18 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         target_grid = _load_expected(args.target)
     else:
         target_grid = _load_expected(None)
+    scenarios = _packaged_scenarios()
 
     profiles_dict = {}
     any_missing = False
     for name in PROFILE_ORDER:
-        spec = CALIBRATION_CONSTRAINTS[name]
         target_column = {case: target_grid[case][name] for case in CASE_ORDER}
         found = None
         tried = 0
         for point in _constrained_points(name):
             tried += 1
-            profile = CharacterProfile(
-                name=name,
-                wellbeing=float(point[0]),
-                autonomy=float(point[1]),
-                risk_propensity=float(point[2]),
-                precedence=frozenset(spec["precedence"]),
-            )
             matches, column = _profile_column(
-                kb, profile, args.risk_mode, target_column
+                kb, scenarios, _profile_at(name, point), args.risk_mode, target_column
             )
             if matches == len(CASE_ORDER):
                 found = point
@@ -439,27 +428,20 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                 f"after {tried} grid points (lexicographic order; further "
                 f"solutions may exist)"
             )
-            profiles_dict[name] = {
-                "wellbeing": found[0],
-                "autonomy": found[1],
-                "risk_propensity": found[2],
-                "precedence": list(spec["precedence"]),
-            }
+            profiles_dict[name] = _profile_entry(found)
         else:
             any_missing = True
             # second pass without early abort: rank every point by its
             # true per-case match count for an honest nearest miss
             best = (-1, None, None)
             for point in _constrained_points(name):
-                profile = CharacterProfile(
-                    name=name,
-                    wellbeing=float(point[0]),
-                    autonomy=float(point[1]),
-                    risk_propensity=float(point[2]),
-                    precedence=frozenset(spec["precedence"]),
-                )
                 matches, column = _profile_column(
-                    kb, profile, args.risk_mode, target_column, early_abort=False
+                    kb,
+                    scenarios,
+                    _profile_at(name, point),
+                    args.risk_mode,
+                    target_column,
+                    early_abort=False,
                 )
                 if matches > best[0]:
                     best = (matches, point, column)
@@ -495,8 +477,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _query_from_spec(data: dict, kb: CaseBase):
-    """Build a feature vector from a query dict.
+def _query_from_spec(data: dict, kb: CaseBase) -> CaseOpinion:
+    """Consult the case base on a query dict.
 
     The query mirrors a decision: context fields plus the behaviour.  The
     utilities are computed exactly as a live decision would compute
@@ -530,19 +512,8 @@ def _query_from_spec(data: dict, kb: CaseBase):
     w = data.get("wellbeing_utility")
     au = autonomy_utility(behaviour, ctx) if au is None else float(au)
     w = wellbeing_utility(behaviour, ctx)[0] if w is None else float(w)
-    features = feature_vector(
-        ctx.epsilon_m,
-        ctx.missed_doses,
-        ctx.follow_ups,
-        ctx.reminder_state,
-        ctx.acknowledged_without_taking,
-        behaviour.kind,
-        au,
-        w,
-    )
     verdict = evaluate_rules(behaviour, ctx)
-    opinion = kb.consult(behaviour, ctx, au, w, verdict)
-    return features, opinion
+    return kb.consult(behaviour, ctx, au, w, verdict)
 
 
 def cmd_kb_trace(args: argparse.Namespace) -> int:
@@ -555,22 +526,7 @@ def cmd_kb_trace(args: argparse.Namespace) -> int:
         matches = [c for c in kb.cases if c.case_id == args.seed_case]
         if not matches:
             raise KBError(f"no case with id {args.seed_case!r}")
-        case = matches[0]
-        features = case.features()
-        neighbours = kb.retrieve(features)
-        weights = [case_weight(d) for _, d in neighbours]
-        total = sum(weights)
-        score = sum(w * c.acceptability for (c, _), w in zip(neighbours, weights)) / total
-        acceptable = score >= 0.5
-        intentions = sorted(
-            {
-                tag
-                for (c, _), _w in zip(neighbours, weights)
-                if (c.acceptability >= 0.5) == acceptable
-                for tag in c.intention
-            }
-        )
-        rows = [(c.case_id, d, w, c.acceptability) for (c, d), w in zip(neighbours, weights)]
+        opinion = kb.vote(matches[0].features())
     else:
         if not args.query:
             raise ContextError("kb-trace needs a query file or --seed-case")
@@ -578,18 +534,15 @@ def cmd_kb_trace(args: argparse.Namespace) -> int:
         if not path.exists():
             raise ContextError(f"query file not found: {path}")
         data = json.loads(path.read_text(encoding="utf-8"))
-        _features, opinion = _query_from_spec(data, kb)
-        score = opinion.score
-        acceptable = opinion.acceptable
-        intentions = sorted(opinion.intentions)
-        rows = [
-            (t.case_id, t.distance, t.weight, t.acceptability) for t in opinion.trace
-        ]
+        opinion = _query_from_spec(data, kb)
 
     print(f"{'case id':<28} {'distance':>12} {'weight':>10} {'label':>7}")
-    for case_id, dist, weight, acc in rows:
-        print(f"{case_id:<28} {dist:>12.6f} {weight:>10.4f} {acc:>7.2f}")
-    print(f"score: {score:.6f}  acceptable: {acceptable}  intentions: {intentions}")
+    for t in opinion.trace:
+        print(f"{t.case_id:<28} {t.distance:>12.6f} {t.weight:>10.4f} {t.acceptability:>7.2f}")
+    print(
+        f"score: {opinion.score:.6f}  acceptable: {opinion.acceptable}  "
+        f"intentions: {sorted(opinion.intentions)}"
+    )
     return EXIT_OK
 
 
@@ -637,11 +590,6 @@ def _add_common(parser: argparse.ArgumentParser, *, kb=True, profiles=True, out=
         default="literal",
         help="how risk is read off the outcome density (default: literal)",
     )
-    parser.add_argument(
-        "--seed-irrelevant",
-        action="store_true",
-        help="reserved; the pipeline has no randomness, so setting this is an error",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -685,7 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--kb", help="case base file")
     p_val.add_argument("--profiles", help="profiles file")
     p_val.add_argument("--scenario", help="scenario file or packaged name")
-    p_val.add_argument("--seed-irrelevant", action="store_true", help=argparse.SUPPRESS)
     p_val.set_defaults(func=cmd_validate)
 
     return parser
@@ -698,11 +645,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(message)s",
     )
-    if getattr(args, "seed_irrelevant", False):
-        log.error(
-            "--seed-irrelevant is reserved: every run is already deterministic"
-        )
-        return EXIT_INVALID
     try:
         return args.func(args)
     except (ModelError, ScenarioError, KBError, ValueError) as exc:

@@ -26,6 +26,7 @@ from .model import (
     Blackboard,
     BlackboardEntry,
     CharacterProfile,
+    ContextError,
     DecisionContext,
     Instruction,
     ReminderState,
@@ -44,16 +45,6 @@ ARBITRATION_PRIORITY: Tuple[BehaviourKind, ...] = (
     BehaviourKind.FOLLOW_UP,
     BehaviourKind.SNOOZE,
     BehaviourKind.REMIND,
-    BehaviourKind.ACK_WAIT,
-)
-
-#: Canonical posting order on the blackboard.
-_CANONICAL_ORDER: Tuple[BehaviourKind, ...] = (
-    BehaviourKind.REMIND,
-    BehaviourKind.SNOOZE,
-    BehaviourKind.FOLLOW_UP,
-    BehaviourKind.RECORD,
-    BehaviourKind.REPORT,
     BehaviourKind.ACK_WAIT,
 )
 
@@ -77,7 +68,7 @@ _ESCALATION_SET = (
 
 
 def candidate_behaviours(ctx: DecisionContext) -> Tuple[Behaviour, ...]:
-    """Context-legal candidate actions, in canonical order.
+    """Context-legal candidate actions, in ``SIMULATED_KINDS`` order.
 
     - inside a granted snooze window: continue the snooze;
     - a pending instruction: the single behaviour that carries it out;
@@ -89,7 +80,8 @@ def candidate_behaviours(ctx: DecisionContext) -> Tuple[Behaviour, ...]:
     if ctx.snooze_remaining > 0:
         return (Behaviour(BehaviourKind.SNOOZE),)
     if ctx.instruction_pending:
-        assert ctx.last_instruction is not None  # enforced by the context
+        if ctx.last_instruction is None:
+            raise ContextError("a pending instruction must name an instruction")
         return (_OBEY_BEHAVIOURS[ctx.last_instruction],)
     if ctx.acknowledged_without_taking or ctx.follow_ups >= EXPANSION_FOLLOW_UPS:
         return _ESCALATION_SET
@@ -122,10 +114,8 @@ def decide(
     recommendation: when no candidate is desirable the rule-compliant
     candidate with the highest combined utility is picked as fallback.
     """
-    candidates = candidate_behaviours(ctx)
-    ordered = sorted(candidates, key=lambda b: _CANONICAL_ORDER.index(b.kind))
     blackboard = Blackboard(context=ctx, profile=profile)
-    for behaviour in ordered:
+    for behaviour in candidate_behaviours(ctx):
         verdict = evaluate_rules(behaviour, ctx)
         au = autonomy_utility(behaviour, ctx)
         w, spec = wellbeing_utility(behaviour, ctx)
@@ -160,14 +150,11 @@ def decide(
         raise GovernorError(
             f"no desirable and no rule-compliant candidate at step {ctx.step}"
         )
-    best = None
-    best_total = None
-    for entry in sorted(
-        compliant, key=lambda e: ARBITRATION_PRIORITY.index(e.behaviour.kind)
-    ):
-        total = entry.wellbeing_utility + entry.autonomy_utility
-        if best_total is None or total > best_total:
-            best, best_total = entry, total
+    # max keeps the first of equal totals, so ties go to the higher priority
+    best = max(
+        sorted(compliant, key=lambda e: ARBITRATION_PRIORITY.index(e.behaviour.kind)),
+        key=lambda e: e.wellbeing_utility + e.autonomy_utility,
+    )
     return Recommendation(
         desirable=(), fallback=best.behaviour, blackboard=blackboard
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Tuple, FrozenSet, List, Dict, Any
+from typing import Optional, Tuple, List, Any
 
 # Value dimensions a decision can promote or damage.  Evaluation code
 # iterates them in this order (wellbeing first), so keep it stable.
@@ -124,15 +124,13 @@ class GammaSpec:
 class CharacterProfile:
     """The tunable character: value preferences plus risk propensity.
 
-    All three weights live on the closed lattice [0, 10].  ``precedence``
-    names the value dimensions this character refuses to trade away.
+    All three weights live on the closed lattice [0, 10].
     """
 
     name: str
     wellbeing: float              # preference weight for resident wellbeing
     autonomy: float               # preference weight for resident autonomy
     risk_propensity: float        # appetite for risky outcomes
-    precedence: FrozenSet[str] = frozenset()
 
     def weight_for(self, tag: str) -> float:
         if tag == WELLBEING:
@@ -146,8 +144,8 @@ def validate_profile(profile: CharacterProfile) -> None:
     """Raise ProfileError unless every field is in range.
 
     Requires: nothing.
-    Ensures:  returns None only when name is non-empty, each weight lies
-              in [0, 10], and precedence uses known value tags.
+    Ensures:  returns None only when name is non-empty and each weight
+              lies in [0, 10].
     """
     if not isinstance(profile, CharacterProfile):
         raise ProfileError(f"not a CharacterProfile: {profile!r}")
@@ -162,9 +160,6 @@ def validate_profile(profile: CharacterProfile) -> None:
             raise ProfileError(f"{label} must be numeric, got {value!r}")
         if not (0.0 <= float(value) <= 10.0):
             raise ProfileError(f"{label}={value!r} outside [0, 10]")
-    for tag in profile.precedence:
-        if tag not in VALUE_TAGS:
-            raise ProfileError(f"unknown precedence tag {tag!r}")
 
 
 @dataclass(frozen=True)
@@ -259,12 +254,3 @@ class Blackboard:
         if any(e.behaviour == entry.behaviour for e in self.entries):
             raise ModelError(f"duplicate blackboard entry for {entry.behaviour}")
         self.entries.append(entry)
-
-    def entry_for(self, kind: BehaviourKind) -> BlackboardEntry:
-        for entry in self.entries:
-            if entry.behaviour.kind is kind:
-                return entry
-        raise KeyError(kind)
-
-    def behaviours(self) -> Tuple[Behaviour, ...]:
-        return tuple(entry.behaviour for entry in self.entries)

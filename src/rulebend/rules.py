@@ -27,10 +27,6 @@ from typing import Callable, Tuple
 from .model import Behaviour, BehaviourKind, DecisionContext, RuleVerdict
 
 
-class RuleEngineError(Exception):
-    """Raised when the rule book itself is misconfigured."""
-
-
 @dataclass(frozen=True)
 class Rule:
     rule_id: int

@@ -20,6 +20,7 @@ recommended or forced.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -87,6 +88,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.epsilon_m not in (1, 2, 3):
             raise ScenarioError(f"epsilon_m must be 1..3, got {self.epsilon_m!r}")
+        if not math.isfinite(self.missed_doses):
+            raise ScenarioError(f"missed_doses must be finite, got {self.missed_doses!r}")
         if self.missed_doses < 0:
             raise ScenarioError("missed_doses cannot be negative")
         if self.max_steps < 1:
@@ -112,8 +115,10 @@ class Scenario:
                 f"{source}: unsupported format_version "
                 f"{data.get('format_version')!r}"
             )
+        resident_data = data.get("resident", {})
+        if not isinstance(resident_data, dict):
+            raise ScenarioError(f"{source}: resident must be an object")
         try:
-            resident_data = data.get("resident", {})
             resident = ResidentConfig(
                 responses=tuple(
                     Instruction(r) for r in resident_data.get(
@@ -172,9 +177,15 @@ class RobotState:
         self.acknowledged_without_taking = False
 
     def check(self) -> None:
-        assert 0 <= self.snooze_timer <= SNOOZE_WINDOW
-        assert 0 <= self.inspect_timer <= INSPECT_WINDOW
-        assert self.follow_ups >= 0
+        if not (
+            0 <= self.snooze_timer <= SNOOZE_WINDOW
+            and 0 <= self.inspect_timer <= INSPECT_WINDOW
+            and self.follow_ups >= 0
+        ):
+            raise ModelError(
+                f"robot state out of range: snooze_timer={self.snooze_timer}, "
+                f"inspect_timer={self.inspect_timer}, follow_ups={self.follow_ups}"
+            )
 
 
 class EpisodeLog:

@@ -241,8 +241,7 @@ def test_c06_threshold_formulas_and_monotonicity():
     for w in range(0, 11, 2):
         for a in range(0, 11, 2):
             for r in range(0, 11, 2):
-                profile = CharacterProfile("P", float(w), float(a), float(r),
-                                           frozenset({"autonomy"}))
+                profile = CharacterProfile("P", float(w), float(a), float(r))
                 bundle = thresholds(profile)
                 assert bundle["risk_ceiling"] == risk_threshold(float(r))
                 assert (bundle["wellbeing"]["gain_floor"],
@@ -302,9 +301,9 @@ def test_c07_evaluation_properties_hold_on_ten_thousand_random_inputs():
         w_pref, a_pref, r_pref = (rng.randrange(11), rng.randrange(11),
                                   rng.randrange(11))
         profile = CharacterProfile("R", float(w_pref), float(a_pref),
-                                   float(r_pref),
-                                   frozenset({rng.choice(("wellbeing",
-                                                          "autonomy"))}))
+                                   float(r_pref))
+        # an unused draw that keeps the seeded input sequence unchanged
+        rng.choice(("wellbeing", "autonomy"))
         au = round(rng.uniform(-1.0, 1.0), 6)
         w = round(rng.uniform(-1.0, 1.0), 6)
         mode = rng.choice(("literal", "harm"))

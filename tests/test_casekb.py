@@ -1,8 +1,10 @@
 """Case base: feature encoding, KNN retrieval, voting, persistence."""
 
+import importlib.util
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,7 @@ from rulebend.casekb import (
 )
 from rulebend.model import Behaviour, BehaviourKind, ReminderState, RuleVerdict
 
-from conftest import breach_context
+from conftest import DATA, breach_context
 
 
 def make_case(case_id, acceptability=1.0, intention=("autonomy",), **overrides):
@@ -284,6 +286,14 @@ class TestCaseValidation:
         with pytest.raises(KBError):
             make_case("x", intention=())
 
+    @pytest.mark.parametrize("field", [
+        "missed_doses", "autonomy_utility", "wellbeing_utility", "acceptability",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_numbers_rejected(self, field, value):
+        with pytest.raises(KBError, match=f"{field} must be finite"):
+            make_case("x", **{field: value})
+
     def test_acceptability_outside_unit_interval_rejected(self):
         with pytest.raises(KBError):
             make_case("x", acceptability=1.5)
@@ -385,3 +395,12 @@ class TestPersistence:
         assert len(seed_kb) == 114
         ids = [case.case_id for case in seed_kb.cases]
         assert len(set(ids)) == len(ids)
+
+    def test_generator_rebuilds_the_packaged_base_byte_for_byte(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "generate_seed_kb.py"
+        spec = importlib.util.spec_from_file_location("generate_seed_kb", script)
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        rebuilt = tmp_path / "seed_kb.jsonl"
+        generator.build().save(rebuilt)
+        assert rebuilt.read_bytes() == (DATA / "seed_kb.jsonl").read_bytes()

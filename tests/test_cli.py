@@ -98,11 +98,21 @@ class TestRun:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_INVALID
 
-    def test_seed_flag_is_rejected(self, tmp_path, caplog):
-        code = main(["run", "case1", "--profile", "A",
-                     "--out", str(tmp_path / "out"), "--seed-irrelevant"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("missed_doses", "inf", "missed_doses must be finite"),
+        ("missed_doses", "nan", "missed_doses must be finite"),
+        ("resident", [], "resident must be an object"),
+    ], ids=["inf-doses", "nan-doses", "list-resident"])
+    def test_malformed_scenario_is_invalid_input(self, tmp_path, caplog,
+                                                 field, value, message):
+        spec = {"format_version": 1, "name": "bad", "epsilon_m": 1,
+                "missed_doses": 0.0, field: value}
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(spec), encoding="utf-8")
+        code = main(["run", str(scenario), "--profile", "A",
+                     "--out", str(tmp_path / "out")])
         assert code == EXIT_INVALID
-        assert "deterministic" in caplog.text
+        assert message in caplog.text
 
 
 # ----------------------------------------------------------------------
@@ -148,10 +158,9 @@ class TestMatrix:
     def test_profiles_file_must_cover_the_grid(self, tmp_path, caplog):
         sparse = tmp_path / "profiles.json"
         sparse.write_text(json.dumps({
-            "format_version": 1,
+            "format_version": 2,
             "profiles": {"A": {"wellbeing": 3, "autonomy": 7,
-                               "risk_propensity": 1,
-                               "precedence": ["autonomy"]}},
+                               "risk_propensity": 1}},
         }), encoding="utf-8")
         code = main(["matrix", "--out", str(tmp_path / "out"),
                      "--profiles", str(sparse)])
@@ -294,11 +303,29 @@ class TestValidate:
 
     def test_rejects_a_broken_profiles_file(self, tmp_path):
         broken = tmp_path / "profiles.json"
-        broken.write_text(json.dumps({"format_version": 1, "profiles": {
-            "A": {"wellbeing": 30, "autonomy": 7, "risk_propensity": 1,
-                  "precedence": ["autonomy"]},
+        broken.write_text(json.dumps({"format_version": 2, "profiles": {
+            "A": {"wellbeing": 30, "autonomy": 7, "risk_propensity": 1},
         }}), encoding="utf-8")
         assert main(["validate", "--profiles", str(broken)]) == EXIT_INVALID
+
+    def test_rejects_a_version_1_profiles_file(self, tmp_path, caplog):
+        old = tmp_path / "profiles.json"
+        old.write_text(json.dumps({"format_version": 1, "profiles": {
+            "A": {"wellbeing": 3, "autonomy": 7, "risk_propensity": 1,
+                  "precedence": ["autonomy"]},
+        }}), encoding="utf-8")
+        assert main(["validate", "--profiles", str(old)]) == EXIT_INVALID
+        assert "expected format_version 2" in caplog.text
+
+    def test_rejects_a_case_base_with_a_nan_utility(self, tmp_path, caplog):
+        lines = _packaged("seed_kb.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        record["wellbeing_utility"] = float("nan")
+        lines[1] = json.dumps(record, sort_keys=True)
+        kb = tmp_path / "kb.jsonl"
+        kb.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["validate", "--kb", str(kb)]) == EXIT_INVALID
+        assert "wellbeing_utility must be finite" in caplog.text
 
     def test_nothing_to_validate_is_an_error(self, caplog):
         assert main(["validate"]) == EXIT_INVALID

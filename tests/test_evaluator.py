@@ -26,7 +26,6 @@ def prof(wellbeing, autonomy, risk, name="T"):
         wellbeing=float(wellbeing),
         autonomy=float(autonomy),
         risk_propensity=float(risk),
-        precedence=frozenset({"autonomy"}),
     )
 
 

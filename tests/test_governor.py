@@ -15,6 +15,7 @@ from rulebend.model import (
     BehaviourKind,
     Blackboard,
     CharacterProfile,
+    ContextError,
     DecisionContext,
     Instruction,
     ReminderState,
@@ -53,6 +54,12 @@ class TestCandidates:
         (only,) = candidate_behaviours(ctx)
         assert only.kind is BehaviourKind.SNOOZE
         assert only.obeys is Instruction.SNOOZE
+
+    def test_pending_instruction_without_a_name_raises(self):
+        ctx = pending_context(Instruction.SNOOZE)
+        object.__setattr__(ctx, "last_instruction", None)  # bypass __post_init__
+        with pytest.raises(ContextError, match="must name an instruction"):
+            candidate_behaviours(ctx)
 
     def test_pending_acknowledge_yields_the_obeying_wait(self):
         ctx = pending_context(Instruction.ACKNOWLEDGE)
@@ -151,7 +158,7 @@ class TestArbitrate:
     def _rec(self, *behaviours, fallback=None):
         board = Blackboard(
             context=breach_context(),
-            profile=CharacterProfile("T", 5.0, 5.0, 5.0, frozenset({"autonomy"})),
+            profile=CharacterProfile("T", 5.0, 5.0, 5.0),
         )
         return Recommendation(
             desirable=tuple(behaviours), fallback=fallback, blackboard=board

@@ -24,10 +24,7 @@ from conftest import breach_context
 
 
 def make_profile(**kw):
-    defaults = dict(
-        name="T", wellbeing=5.0, autonomy=5.0, risk_propensity=5.0,
-        precedence=frozenset({AUTONOMY}),
-    )
+    defaults = dict(name="T", wellbeing=5.0, autonomy=5.0, risk_propensity=5.0)
     defaults.update(kw)
     return CharacterProfile(**defaults)
 
@@ -71,10 +68,6 @@ class TestCharacterProfile:
     def test_validate_rejects_out_of_range_weights(self, field, value):
         with pytest.raises(ProfileError):
             validate_profile(make_profile(**{field: value}))
-
-    def test_validate_rejects_unknown_precedence(self):
-        with pytest.raises(ProfileError):
-            validate_profile(make_profile(precedence=frozenset({"speed"})))
 
     def test_validate_rejects_empty_name(self):
         with pytest.raises(ProfileError):
@@ -153,17 +146,11 @@ class TestBlackboard:
     def test_post_and_lookup(self):
         board = Blackboard(context=breach_context(), profile=make_profile())
         board.post(self._entry(BehaviourKind.FOLLOW_UP))
-        assert board.entry_for(BehaviourKind.FOLLOW_UP).behaviour.kind is (
-            BehaviourKind.FOLLOW_UP
-        )
+        (entry,) = board.entries
+        assert entry.behaviour.kind is BehaviourKind.FOLLOW_UP
 
     def test_duplicate_post_rejected(self):
         board = Blackboard(context=breach_context(), profile=make_profile())
         board.post(self._entry(BehaviourKind.RECORD))
         with pytest.raises(ModelError):
             board.post(self._entry(BehaviourKind.RECORD))
-
-    def test_missing_entry_raises(self):
-        board = Blackboard(context=breach_context(), profile=make_profile())
-        with pytest.raises(KeyError):
-            board.entry_for(BehaviourKind.REPORT)

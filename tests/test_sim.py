@@ -9,8 +9,10 @@ from rulebend.sim import (
     FIRST_SYNTHETIC_ID,
     KNOWN_SIGNATURES,
     MAX_STEPS,
+    SNOOZE_WINDOW,
     EpisodeLog,
     ResidentConfig,
+    RobotState,
     Scenario,
     ScenarioError,
     SignatureRegistry,
@@ -173,6 +175,14 @@ def test_jsonl_layout(episode_c1_a):
     assert summary["fallback_steps"] == []
 
 
+def test_robot_state_check_raises_a_model_error():
+    robot = RobotState(cycle_d=0.0)
+    robot.check()
+    robot.snooze_timer = SNOOZE_WINDOW + 1
+    with pytest.raises(ModelError, match="robot state out of range"):
+        robot.check()
+
+
 def test_log_rejects_non_increasing_steps():
     log = EpisodeLog(meta={})
     log.append({"step": 3})
@@ -280,6 +290,22 @@ class TestScenarioIO:
     def test_resident_needs_at_least_one_response(self):
         with pytest.raises(ScenarioError):
             ResidentConfig(responses=())
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_missed_doses_rejected(self, value):
+        with pytest.raises(ScenarioError, match="missed_doses must be finite"):
+            Scenario.from_dict({
+                "format_version": 1, "name": "x", "epsilon_m": 1,
+                "missed_doses": value,
+            })
+
+    @pytest.mark.parametrize("value", [[], "snooze", 3])
+    def test_non_object_resident_rejected(self, value):
+        with pytest.raises(ScenarioError, match="resident must be an object"):
+            Scenario.from_dict({
+                "format_version": 1, "name": "x", "epsilon_m": 1,
+                "missed_doses": 0.0, "resident": value,
+            })
 
     def test_non_object_rejected(self):
         with pytest.raises(ScenarioError):
