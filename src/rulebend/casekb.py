@@ -12,10 +12,26 @@ the category values happen to be numbered; the two utilities enter as
 plain scalars.  The distance divides by sqrt(dimension), keeping any
 single-coordinate difference within [0, ~0.28] and the 0.1 near-match
 radius meaningful.
+
+Retrieval never evaluates ``distance`` coordinate by coordinate.  Every
+coordinate but the two utilities is 0 or 1, so a vector splits into a
+categorical *block*, held as an int bitmask, and two utilities.  Each
+categorical term (a - b)**2 is exactly 0 or 1, and the number of ones is
+the popcount of the two masks' XOR, ``m``.  ``fsum`` rounds the exact sum
+of its terms once, so ``fsum((m, du**2, dw**2))`` equals ``fsum`` over all
+the coordinates bit for bit, and retrieval returns the same distances as
+``distance``.  Cases are grouped by block once, when the base is built;
+a query visits the groups in ascending ``m`` and stops when
+``sqrt(m) / sqrt(dimension)`` exceeds the k-th best distance found so
+far.  That bound is exact: the sum is at least ``m`` and ``sqrt`` and the
+division round monotonically, so no unvisited case can come closer.  The
+comparison is strict, so a case tying the k-th distance is still seen
+and ties keep breaking by case id.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -60,6 +76,9 @@ FEATURE_NAMES: Tuple[str, ...] = (
 
 DIMENSION = len(FEATURE_NAMES)
 _DISTANCE_DIVISOR = math.sqrt(DIMENSION)
+
+#: Coordinates before the two trailing utilities; each is 0.0 or 1.0.
+_CATEGORICAL = DIMENSION - 2
 
 
 class KBError(Exception):
@@ -121,6 +140,25 @@ def distance(u: Sequence[float], v: Sequence[float]) -> float:
     if len(u) != DIMENSION or len(v) != DIMENSION:
         raise KBError("feature vectors must match the manifest dimension")
     return math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(u, v))) / _DISTANCE_DIVISOR
+
+
+def _split_vector(vector: Sequence[float]) -> Tuple[int, float, float]:
+    """(categorical bitmask, autonomy, wellbeing) of a feature vector."""
+    if len(vector) != DIMENSION:
+        raise KBError("feature vectors must match the manifest dimension")
+    mask = 0
+    for index in range(_CATEGORICAL):
+        value = vector[index]
+        if value == 1.0:
+            mask |= 1 << index
+        elif value != 0.0:
+            raise KBError(
+                f"{FEATURE_NAMES[index]} must be 0.0 or 1.0, got {value!r}"
+            )
+    au, w = vector[_CATEGORICAL], vector[_CATEGORICAL + 1]
+    if not (math.isfinite(au) and math.isfinite(w)):
+        raise KBError(f"utilities must be finite, got {au!r}, {w!r}")
+    return mask, au, w
 
 
 def case_weight(dist: float) -> float:
@@ -203,17 +241,28 @@ class CaseOpinion:
     trace: Tuple[TraceEntry, ...]
 
 
+#: One case as retrieval reads it: (autonomy, wellbeing, case id, case).
+_Member = Tuple[float, float, str, Case]
+
+
 class CaseBase:
-    """An in-memory, immutable-by-convention collection of cases."""
+    """An in-memory, immutable-by-convention collection of cases.
+
+    The cases are also held grouped by categorical block, as a list of
+    (block bitmask, members) pairs, which is all ``retrieve`` reads.
+    """
 
     def __init__(self, cases: Iterable[Case] = ()):
         self._cases: List[Case] = list(cases)
         seen = set()
+        blocks: Dict[int, List[_Member]] = {}
         for case in self._cases:
             if case.case_id in seen:
                 raise KBError(f"duplicate case id {case.case_id!r}")
             seen.add(case.case_id)
-        self._features = [case.features() for case in self._cases]
+            mask, au, w = _split_vector(case.features())
+            blocks.setdefault(mask, []).append((au, w, case.case_id, case))
+        self._blocks = list(blocks.items())
 
     def __len__(self) -> int:
         return len(self._cases)
@@ -229,20 +278,42 @@ class CaseBase:
     def retrieve(
         self, query: Sequence[float], k: int = DEFAULT_NEIGHBOURS
     ) -> List[Tuple[Case, float]]:
-        """K nearest cases to the query vector.
+        """K nearest cases to the query vector, with their ``distance``.
 
-        Requires: k >= 1.
+        Visits the case groups by ascending categorical mismatch count
+        and stops at the first group whose lower bound exceeds the k-th
+        best distance so far (see the module docstring for why the
+        distances and the order are exactly those of ``distance``).
+
+        Requires: k >= 1; a DIMENSION-long query whose categorical
+                  coordinates are 0.0 or 1.0 and whose utilities are
+                  finite (KBError otherwise).
         Ensures:  at most k (case, distance) pairs ordered by ascending
                   distance, equal distances ordered by case id.
         """
         if k < 1:
             raise KBError(f"k must be >= 1, got {k!r}")
-        scored = [
-            (distance(query, feats), case.case_id, case)
-            for case, feats in zip(self._cases, self._features)
-        ]
-        scored.sort(key=lambda item: (item[0], item[1]))
-        return [(case, dist) for dist, _, case in scored[:k]]
+        qmask, au, w = _split_vector(query)
+        # Group lists by their number of categorical mismatches.
+        levels: List[List[List[_Member]]] = [[] for _ in range(_CATEGORICAL + 1)]
+        for mask, members in self._blocks:
+            levels[(qmask ^ mask).bit_count()].append(members)
+        scored: List[Tuple[float, str, Case]] = []
+        for mismatches, groups in enumerate(levels):
+            if not groups:
+                continue
+            if len(scored) >= k and (
+                math.sqrt(mismatches) / _DISTANCE_DIVISOR
+                > heapq.nsmallest(k, scored)[-1][0]
+            ):
+                break
+            categorical = float(mismatches)
+            for members in groups:
+                for cau, cw, case_id, case in members:
+                    squares = (categorical, (au - cau) ** 2, (w - cw) ** 2)
+                    dist = math.sqrt(math.fsum(squares)) / _DISTANCE_DIVISOR
+                    scored.append((dist, case_id, case))
+        return [(case, dist) for dist, _, case in heapq.nsmallest(k, scored)]
 
     def consult(
         self,

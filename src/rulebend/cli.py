@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import logging
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -477,14 +478,27 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
+def _utility_override(data: dict, key: str) -> Optional[float]:
+    """The query's explicit utility ``key``, or None when it is absent."""
+    value = data.get(key)
+    if value is None:
+        return None
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return value
+
+
 def _query_from_spec(data: dict, kb: CaseBase) -> CaseOpinion:
     """Consult the case base on a query dict.
 
     The query mirrors a decision: context fields plus the behaviour.  The
     utilities are computed exactly as a live decision would compute
     them, unless explicit autonomy_utility / wellbeing_utility overrides
-    are present.
+    are present; an override must be a finite number.
     """
+    if not isinstance(data, dict):
+        raise ContextError("invalid query spec: expected a JSON object")
     try:
         last = data.get("last_instruction")
         ctx = DecisionContext(
@@ -506,12 +520,12 @@ def _query_from_spec(data: dict, kb: CaseBase) -> CaseOpinion:
             BehaviourKind(data["behaviour"]),
             obeys=Instruction(obeys) if obeys else None,
         )
+        au = _utility_override(data, "autonomy_utility")
+        w = _utility_override(data, "wellbeing_utility")
     except (KeyError, ValueError, TypeError) as exc:
         raise ContextError(f"invalid query spec: {exc}") from exc
-    au = data.get("autonomy_utility")
-    w = data.get("wellbeing_utility")
-    au = autonomy_utility(behaviour, ctx) if au is None else float(au)
-    w = wellbeing_utility(behaviour, ctx)[0] if w is None else float(w)
+    au = autonomy_utility(behaviour, ctx) if au is None else au
+    w = wellbeing_utility(behaviour, ctx)[0] if w is None else w
     verdict = evaluate_rules(behaviour, ctx)
     return kb.consult(behaviour, ctx, au, w, verdict)
 

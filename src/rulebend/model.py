@@ -14,6 +14,7 @@ Semantics:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple, List, Any
@@ -189,6 +190,8 @@ class DecisionContext:
     def __post_init__(self) -> None:
         if self.epsilon_m not in (1, 2, 3):
             raise ContextError(f"epsilon_m must be 1..3, got {self.epsilon_m!r}")
+        if not math.isfinite(self.missed_doses):
+            raise ContextError(f"missed_doses must be finite, got {self.missed_doses!r}")
         if self.missed_doses < 0:
             raise ContextError("missed_doses cannot be negative")
         if self.follow_ups < 0 or self.snoozes_granted < 0:

@@ -18,7 +18,14 @@ from rulebend.casekb import (
     distance,
     feature_vector,
 )
-from rulebend.model import Behaviour, BehaviourKind, ReminderState, RuleVerdict
+from rulebend.model import (
+    Behaviour,
+    BehaviourKind,
+    ReminderState,
+    RuleVerdict,
+    SIMULATED_KINDS,
+)
+from rulebend.utility import UTILITY_GRID
 
 from conftest import DATA, breach_context
 
@@ -181,6 +188,76 @@ class TestRetrieve:
             )[:k]
             got = [(d, c.case_id) for c, d in kb.retrieve(query, k=k)]
             assert got == expected
+
+    def test_matches_brute_force_with_exact_ties(self):
+        # Few blocks, utilities from a five-value subset of UTILITY_GRID
+        # repeated across blocks: many cases tie exactly, at the k-th
+        # place and across mismatch levels (a 1.0 utility gap in both
+        # utilities costs as much as two categorical mismatches).
+        rng = random.Random(20261018)
+        utilities = [u for u in UTILITY_GRID if u in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+        choices = dict(
+            epsilon_m=(1, 2, 3),
+            missed_doses=(0.0, 1.0, 2.0, 3.0, 4.0),
+            follow_ups=(0, 1, 2, 3),
+            reminder_state=tuple(ReminderState),
+            acknowledged_without_taking=(False, True),
+            behaviour=SIMULATED_KINDS,
+        )
+        for trial in range(40):
+            base = {name: rng.choice(values) for name, values in choices.items()}
+            blocks, block_count = [], rng.randint(2, 4)
+            while len(blocks) < block_count:
+                block = dict(base)
+                for name in rng.sample(sorted(choices), rng.randint(0, 2)):
+                    block[name] = rng.choice(choices[name])
+                if block not in blocks:
+                    blocks.append(block)
+            pairs = [
+                (rng.choice(utilities), rng.choice(utilities))
+                for _ in range(rng.randint(3, 6))
+            ]
+            ids = rng.sample(range(1000), len(blocks) * len(pairs))
+            cases = [
+                make_case(
+                    f"t{trial}-{ids.pop():03d}",
+                    autonomy_utility=au, wellbeing_utility=w, **block,
+                )
+                for block in blocks
+                for au, w in pairs
+            ]
+            kb = CaseBase(cases)
+            for block in blocks:
+                for _ in range(3):
+                    query = make_case(
+                        "q", autonomy_utility=rng.choice(utilities),
+                        wellbeing_utility=rng.choice(utilities), **block,
+                    ).features()
+                    brute = sorted(
+                        (distance(query, c.features()), c.case_id) for c in cases
+                    )
+                    for k in range(1, 9):
+                        got = [(d, c.case_id) for c, d in kb.retrieve(query, k=k)]
+                        assert got == brute[:k]
+
+    @pytest.mark.parametrize("index, value", [
+        (0, 0.5), (0, -1.0), (0, 2.0), (7, float("nan")),
+        (DIMENSION - 2, float("nan")), (DIMENSION - 1, float("inf")),
+        (DIMENSION - 2, float("-inf")),
+    ])
+    def test_malformed_query_coordinate_rejected(self, index, value):
+        kb = CaseBase([make_case("a")])
+        query = list(make_case("q").features())
+        query[index] = value
+        with pytest.raises(KBError):
+            kb.retrieve(query)
+
+    @pytest.mark.parametrize("length", [DIMENSION - 1, DIMENSION + 1])
+    def test_wrong_query_length_rejected(self, length):
+        kb = CaseBase([make_case("a")])
+        query = (make_case("q").features() + (0.0,))[:length]
+        with pytest.raises(KBError, match="dimension"):
+            kb.retrieve(query)
 
 
 # ----------------------------------------------------------------------

@@ -206,6 +206,28 @@ class TestKbTrace:
         assert "c1-breach-follow_up-f1" in stdout
         assert "score:" in stdout
 
+    def test_query_must_be_an_object(self, tmp_path, caplog):
+        query = tmp_path / "query.json"
+        query.write_text("[]", encoding="utf-8")
+        assert main(["kb-trace", str(query)]) == EXIT_INVALID
+        assert "expected a JSON object" in caplog.text
+
+    @pytest.mark.parametrize("field", ["autonomy_utility", "wellbeing_utility"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_utility_override_rejected(self, tmp_path, caplog, capsys,
+                                                  field, value):
+        query = tmp_path / "query.json"
+        query.write_text(json.dumps({
+            "epsilon_m": 1, "missed_doses": 0.0, "follow_ups": 1,
+            "reminder_state": "acknowledged",
+            "last_instruction": "acknowledge",
+            "acknowledged_without_taking": True,
+            "behaviour": "follow_up", field: value,
+        }), encoding="utf-8")
+        assert main(["kb-trace", str(query)]) == EXIT_INVALID
+        assert f"{field} must be finite" in caplog.text
+        assert capsys.readouterr().out == ""
+
     def test_query_file_must_exist(self, tmp_path, caplog):
         code = main(["kb-trace", str(tmp_path / "no-query.json")])
         assert code == EXIT_INVALID

@@ -94,6 +94,11 @@ class TestDecisionContext:
         with pytest.raises(ContextError):
             breach_context(follow_ups=-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_missed_doses(self, value):
+        with pytest.raises(ContextError, match="missed_doses must be finite"):
+            breach_context(missed_doses=value)
+
     def test_acknowledged_without_taking_needs_acknowledge(self):
         with pytest.raises(ContextError):
             DecisionContext(
