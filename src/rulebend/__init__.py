@@ -6,7 +6,13 @@ compliance, resident autonomy, wellbeing risk, and precedent cases.
 """
 
 from .casekb import Case, CaseBase, CaseOpinion, TraceEntry, feature_vector
-from .evaluator import Branch, EvaluationResult, evaluate, render_explanation
+from .evaluator import (
+    Branch,
+    EvaluationResult,
+    evaluate,
+    render_explanation,
+    situation_risk,
+)
 from .governor import Recommendation, arbitrate, candidate_behaviours, decide
 from .model import (
     Behaviour,
@@ -81,6 +87,7 @@ __all__ = [
     "render_explanation",
     "risk_threshold",
     "run_episode",
+    "situation_risk",
     "situation_spec",
     "thresholds",
     "wellbeing_utility",

@@ -34,6 +34,7 @@ from .model import (
     ModelError,
     ProfileError,
     ReminderState,
+    json_field,
     validate_profile,
 )
 from .rules import evaluate_rules
@@ -502,18 +503,18 @@ def _query_from_spec(data: dict, kb: CaseBase) -> CaseOpinion:
     try:
         last = data.get("last_instruction")
         ctx = DecisionContext(
-            epsilon_m=int(data["epsilon_m"]),
+            epsilon_m=json_field(data, "epsilon_m", int),
             missed_doses=float(data["missed_doses"]),
-            follow_ups=int(data["follow_ups"]),
+            follow_ups=json_field(data, "follow_ups", int),
             reminder_state=ReminderState(data["reminder_state"]),
             last_instruction=Instruction(last) if last else None,
-            instruction_pending=bool(data.get("instruction_pending", False)),
-            acknowledged_without_taking=bool(
-                data.get("acknowledged_without_taking", False)
+            instruction_pending=json_field(data, "instruction_pending", bool, False),
+            acknowledged_without_taking=json_field(
+                data, "acknowledged_without_taking", bool, False
             ),
-            snoozes_granted=int(data.get("snoozes_granted", 0)),
-            snooze_remaining=int(data.get("snooze_remaining", 0)),
-            step=int(data.get("step", 0)),
+            snoozes_granted=json_field(data, "snoozes_granted", int, 0),
+            snooze_remaining=json_field(data, "snooze_remaining", int, 0),
+            step=json_field(data, "step", int, 0),
         )
         obeys = data.get("obeys")
         behaviour = Behaviour(

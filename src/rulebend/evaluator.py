@@ -22,13 +22,17 @@ The wellbeing gate reads the behaviour's wellbeing utility; the
 autonomy gate reads its autonomy utility.  Gates run in the fixed value
 order (wellbeing, then autonomy) and the first failure decides the
 explanation.
+
+The situation's risk depends on the decision context alone, so
+``situation_risk`` reads it once per decision and ``evaluate`` takes
+that reading for every candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import FrozenSet, NamedTuple, Optional, Sequence
 
 from .casekb import CaseOpinion
 from .model import (
@@ -156,6 +160,20 @@ def render_explanation(
     return text
 
 
+class SituationRisk(NamedTuple):
+    """The situation's risk under one risk mode, and the density it came from."""
+
+    risk: float
+    risk_mode: str
+    spec: GammaSpec
+
+
+def situation_risk(ctx: DecisionContext, risk_mode: str = "literal") -> SituationRisk:
+    """Read the risk off the situation's density, once per decision."""
+    spec = situation_spec(ctx)
+    return SituationRisk(behaviour_risk(spec, mode=risk_mode), risk_mode, spec)
+
+
 @dataclass(frozen=True)
 class EvaluationResult:
     """Verdict of the desirability evaluation for one behaviour."""
@@ -226,23 +244,21 @@ def _suppress_value_gates(
 
 def evaluate(
     behaviour: Behaviour,
-    ctx: DecisionContext,
+    situation: SituationRisk,
     profile: CharacterProfile,
     verdict: RuleVerdict,
     opinion: CaseOpinion,
     autonomy_utility: float,
     wellbeing_utility: float,
-    risk_mode: str = "literal",
 ) -> EvaluationResult:
     """Decide desirability of one candidate behaviour.
 
     Total over all inputs: always returns a result with desirability in
-    {0, 1}, an assigned branch, and a rendered explanation.  The risk is
-    computed for every branch (it is logged), but only the contested
-    branches gate on it.
+    {0, 1}, an assigned branch, and a rendered explanation.  The
+    decision's ``situation_risk`` is recorded on every branch (it is
+    logged), but only the contested branches gate on it.
     """
-    spec = situation_spec(ctx)
-    risk = behaviour_risk(spec, mode=risk_mode)
+    risk = situation.risk
     rule_ids = verdict.violated_rule_ids
     intentions = opinion.intentions
 
@@ -256,8 +272,8 @@ def evaluate(
             desirability=desirability,
             branch=branch,
             risk=risk,
-            risk_mode=risk_mode,
-            risk_spec=spec,
+            risk_mode=situation.risk_mode,
+            risk_spec=situation.spec,
             template_id=template_id,
             explanation=render_explanation(template_id, rule_ids, intentions),
             failed_value=failed_value,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .casekb import CaseBase
-from .evaluator import evaluate
+from .evaluator import evaluate, situation_risk
 from .model import (
     Behaviour,
     BehaviourKind,
@@ -115,14 +115,13 @@ def decide(
     candidate with the highest combined utility is picked as fallback.
     """
     blackboard = Blackboard(context=ctx, profile=profile)
+    situation = situation_risk(ctx, risk_mode)
     for behaviour in candidate_behaviours(ctx):
         verdict = evaluate_rules(behaviour, ctx)
         au = autonomy_utility(behaviour, ctx)
         w, spec = wellbeing_utility(behaviour, ctx)
         opinion = kb.consult(behaviour, ctx, au, w, verdict)
-        evaluation = evaluate(
-            behaviour, ctx, profile, verdict, opinion, au, w, risk_mode=risk_mode
-        )
+        evaluation = evaluate(behaviour, situation, profile, verdict, opinion, au, w)
         blackboard.post(
             BlackboardEntry(
                 behaviour=behaviour,

@@ -9,7 +9,8 @@ Purpose:
 Semantics:
     Everything here is a plain immutable container.  No module in this
     file computes utilities, applies rules, or consults the case base;
-    it only says what the data *is* and which combinations are legal.
+    it only says what the data *is* and which combinations are legal,
+    down to the JSON types the file boundaries accept (``json_field``).
 """
 
 from __future__ import annotations
@@ -36,6 +37,26 @@ class ProfileError(ModelError):
 
 class ContextError(ModelError):
     """Raised when a decision context violates a structural invariant."""
+
+
+_REQUIRED = object()
+_JSON_TYPE_NAMES = {bool: "boolean", int: "integer"}
+
+
+def json_field(data: dict, key: str, kind: type, default: Any = _REQUIRED) -> Any:
+    """``data[key]``, which must be a JSON value of exactly ``kind``.
+
+    ``kind`` is ``bool`` or ``int``; an int field rejects ``true`` as it
+    rejects ``1.9`` and ``"5"``, rather than coercing them.  Raises
+    KeyError when a field without a default is missing and TypeError on
+    the wrong type, for the boundary to report as invalid input.
+    """
+    value = data[key] if default is _REQUIRED else data.get(key, default)
+    if type(value) is not kind:
+        raise TypeError(
+            f"{key} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}"
+        )
+    return value
 
 
 class BehaviourKind(str, Enum):
@@ -114,6 +135,11 @@ class GammaSpec:
     shift: float = -1.0
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(x) for x in (self.shape, self.scale, self.shift)):
+            raise ModelError(
+                f"gamma spec needs finite parameters, got shape={self.shape!r} "
+                f"scale={self.scale!r} shift={self.shift!r}"
+            )
         if not (self.shape > 0.0 and self.scale > 0.0):
             raise ModelError(
                 f"gamma spec needs positive shape/scale, got "

@@ -36,6 +36,7 @@ from .model import (
     Instruction,
     ModelError,
     ReminderState,
+    json_field,
 )
 
 SNOOZE_WINDOW = 3          # steps a granted snooze suspends the cycle
@@ -92,8 +93,10 @@ class Scenario:
             raise ScenarioError(f"missed_doses must be finite, got {self.missed_doses!r}")
         if self.missed_doses < 0:
             raise ScenarioError("missed_doses cannot be negative")
-        if self.max_steps < 1:
-            raise ScenarioError("max_steps must be positive")
+        if not 1 <= self.max_steps <= MAX_STEPS:
+            raise ScenarioError(
+                f"max_steps must be in 1..{MAX_STEPS}, got {self.max_steps!r}"
+            )
 
     @classmethod
     def from_file(cls, path: Path | str) -> "Scenario":
@@ -125,14 +128,16 @@ class Scenario:
                         "responses", ["snooze", "acknowledge"]
                     )
                 ),
-                takes_medication=bool(resident_data.get("takes_medication", False)),
+                takes_medication=json_field(
+                    resident_data, "takes_medication", bool, False
+                ),
             )
             return cls(
                 name=str(data["name"]),
-                epsilon_m=int(data["epsilon_m"]),
+                epsilon_m=json_field(data, "epsilon_m", int),
                 missed_doses=float(data["missed_doses"]),
                 resident=resident,
-                max_steps=int(data.get("max_steps", MAX_STEPS)),
+                max_steps=json_field(data, "max_steps", int, MAX_STEPS),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise ScenarioError(f"{source}: invalid scenario ({exc})") from exc

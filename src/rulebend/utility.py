@@ -17,12 +17,41 @@ behaviour converts the follow-up count f into a fraction of a missed
 dose before looking up the density: a snooze costs f/8, a follow-up
 f/3, a fresh reminder f/4 (plus a +0.5 bonus for prompting on time),
 while record/report settle the cycle at a full missed dose d+1.
+
+Peaks in closed form.  ``pmax_scan`` and ``risk_scan`` are the
+definitions: they evaluate all 41 grid points.  The decision path reads
+the same numbers off a window of six grid points instead:
+
+- g peaks at x* = v + (a-1)b (shape a >= 1, scale b);
+- the risk products g(x)*|x| (harm, x < 0) and g(x)*x (literal, x > 0)
+  peak where d/dx log = (a-1)/(x-v) - 1/b + 1/x vanishes, at the roots
+  of x^2 - (ab+v)x + bv = 0, which with v = -1 is
+  x^2 - (ab-1)x - b = 0: harm at the smaller (negative) root, literal
+  at the larger (positive) one.
+
+All three functions are log-concave on their domain, so on the grid
+they rise up to the two points bracketing the peak and fall after it.
+With k = floor((x*+1)*20) the grid argmax is k or k+1; the window
+k-2..k+3 adds two points of slack on each side for the rounding of x*
+and of the computed density.  Inside the window the scans' tie rules
+are kept: PMax takes the later of equal values; a risk is the maximum
+value itself, so only a signed zero could tell its first-maximum rule
+apart, and zeros never leave the window (below).
+
+A window is trusted only when its computed values show a peak: the
+largest value must be a normal float, and it must not sit on a window
+end unless that end is the end of the grid.  Otherwise the answer comes
+from the scan.  That covers total underflow, where every density value
+is 0.0 and the scans' tie rules give PMax 1.0 and a literal risk of
+-0.0, as well as densities too flat for their rounding to show a peak.
+No spec the simulator reaches takes the scan.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+import sys
+from typing import Callable, Dict, Optional, Tuple
 
 from .model import (
     AUTONOMY,
@@ -40,6 +69,13 @@ from .model import (
 #: multiple of 0.1 in float64; -1 + k*0.05 is not).
 UTILITY_GRID: Tuple[float, ...] = tuple((k - 20) / 20.0 for k in range(41))
 
+#: Last grid index, and the last negative one (where harm windows end).
+_LAST = len(UTILITY_GRID) - 1
+_LAST_NEGATIVE = UTILITY_GRID.index(0.0) - 1
+
+#: Smallest normal float: a window peak below it is underflow, not a peak.
+_SMALLEST_NORMAL = sys.float_info.min
+
 VALUE_SHIFT = -1.0
 
 #: Divisor converting the follow-up count into missed-dose fractions,
@@ -51,10 +87,6 @@ _FOLLOW_UP_DIVISOR: Dict[BehaviourKind, float] = {
     BehaviourKind.FOLLOW_UP: 3.0,
     BehaviourKind.REMIND: 4.0,
 }
-
-#: Divisor converting granted snoozes into the situation's dose drift
-#: (matching the snooze row above).
-_SNOOZE_DIVISOR = 8.0
 
 RISK_MODES = ("harm", "literal")
 
@@ -94,10 +126,12 @@ def gamma_pdf(x: float, spec: GammaSpec) -> float:
     )
 
 
-def pmax_utility(spec: GammaSpec) -> float:
+def pmax_scan(spec: GammaSpec) -> float:
     """Most probable outcome value: grid argmax of the density.
 
-    Ties resolve toward the larger x (the scan keeps later equal peaks).
+    The 41-point definition of PMax, kept as the reference for
+    ``pmax_utility``.  Ties resolve toward the larger x (the scan keeps
+    later equal peaks).
     """
     best_x = UTILITY_GRID[0]
     best_p = gamma_pdf(best_x, spec)
@@ -106,6 +140,43 @@ def pmax_utility(spec: GammaSpec) -> float:
         if p >= best_p:
             best_x, best_p = x, p
     return best_x
+
+
+def _window_peak(
+    f: Callable[[float], float], x_peak: float, last: int
+) -> Optional[Tuple[int, float]]:
+    """Grid index and value of the largest ``f`` near ``x_peak``.
+
+    Scans grid indices k-2..k+3, k = floor((x_peak+1)*20), cut to
+    0..last; later equal values win.  Returns None when the window shows
+    no peak: the largest value is not a normal float, or it sits on a
+    window end that is not an end of 0..last.
+    """
+    if -1.0 <= x_peak <= 1.0:
+        k = min(math.floor((x_peak + 1.0) * 20.0), last)
+    else:
+        k = last if x_peak > 1.0 else 0
+    lo = max(k - 2, 0)
+    hi = min(k + 3, last)
+    best_i, best = lo, f(UTILITY_GRID[lo])
+    for i in range(lo + 1, hi + 1):
+        value = f(UTILITY_GRID[i])
+        if value >= best:
+            best_i, best = i, value
+    if not best >= _SMALLEST_NORMAL or best_i == lo > 0 or best_i == hi < last:
+        return None
+    return best_i, best
+
+
+def pmax_utility(spec: GammaSpec) -> float:
+    """``pmax_scan(spec)``, from the six grid points around x* = v + (a-1)b.
+
+    Falls back to the scan where the window shows no peak (see the
+    module docstring), which includes total underflow.
+    """
+    x_star = spec.shift + (spec.shape - 1.0) * spec.scale
+    peak = _window_peak(lambda x: gamma_pdf(x, spec), x_star, _LAST)
+    return pmax_scan(spec) if peak is None else UTILITY_GRID[peak[0]]
 
 
 def autonomy_utility(behaviour: Behaviour, ctx: DecisionContext) -> float:
@@ -175,11 +246,12 @@ def situation_spec(ctx: DecisionContext) -> GammaSpec:
     Each snooze the robot has granted this cycle pushed the dose later,
     so the situation carries d plus one snooze-fraction per grant.
     """
-    dose = ctx.missed_doses + ctx.snoozes_granted / _SNOOZE_DIVISOR
+    snooze_divisor = _FOLLOW_UP_DIVISOR[BehaviourKind.SNOOZE]
+    dose = ctx.missed_doses + ctx.snoozes_granted / snooze_divisor
     return GammaSpec(shape_param(ctx.epsilon_m), scale_param(dose), VALUE_SHIFT)
 
 
-def behaviour_risk(spec: GammaSpec, mode: str = "harm") -> float:
+def risk_scan(spec: GammaSpec, mode: str = "harm") -> float:
     """Scalar risk read off the outcome density.
 
     harm:    max over the negative grid of density * |x| — how likely
@@ -187,12 +259,40 @@ def behaviour_risk(spec: GammaSpec, mode: str = "harm") -> float:
     literal: max over the whole grid of density * x — the raw signed
              product, so densities peaked on good outcomes score near
              their peak and harm-peaked densities score tiny positives.
+
+    The 41-point definition of the risk, kept as the reference for
+    ``behaviour_risk``.  ``max`` keeps the first of equal values.
     """
     if mode == "harm":
         return max(gamma_pdf(x, spec) * -x for x in UTILITY_GRID if x < 0.0)
     if mode == "literal":
         return max(gamma_pdf(x, spec) * x for x in UTILITY_GRID)
     raise ValueError(f"unknown risk mode {mode!r}; expected one of {RISK_MODES}")
+
+
+def behaviour_risk(spec: GammaSpec, mode: str = "harm") -> float:
+    """``risk_scan(spec, mode)``, from the six grid points around its peak.
+
+    The peaks are the roots of x^2 - (ab+v)x + bv = 0: harm takes the
+    smaller one over the negative grid points, literal the larger one
+    over the whole grid.  Falls back to the scan where the window shows
+    no peak (see the module docstring), which includes the total
+    underflow that gives a literal risk of -0.0.
+    """
+    if mode not in RISK_MODES:
+        raise ValueError(f"unknown risk mode {mode!r}; expected one of {RISK_MODES}")
+    a, b, v = spec.shape, spec.scale, spec.shift
+    half_sum = (a * b + v) / 2.0
+    half_gap = math.sqrt(max(half_sum * half_sum - b * v, 0.0))
+    if mode == "harm":
+        peak = _window_peak(
+            lambda x: gamma_pdf(x, spec) * -x, half_sum - half_gap, _LAST_NEGATIVE
+        )
+    else:
+        peak = _window_peak(
+            lambda x: gamma_pdf(x, spec) * x, half_sum + half_gap, _LAST
+        )
+    return risk_scan(spec, mode) if peak is None else peak[1]
 
 
 def risk_threshold(risk_propensity: float) -> float:

@@ -7,6 +7,7 @@ frozen full-precision constants recorded from the oracle runs.
 """
 
 import dataclasses
+import hashlib
 import json
 import random
 import time
@@ -23,7 +24,7 @@ from rulebend.casekb import (
     feature_vector,
 )
 from rulebend.cli import CASE_ORDER, PROFILE_ORDER, _resolve_scenario, _run_matrix
-from rulebend.evaluator import Branch, evaluate, render_explanation
+from rulebend.evaluator import Branch, evaluate, render_explanation, situation_risk
 from rulebend.model import (
     Behaviour,
     BehaviourKind,
@@ -36,6 +37,7 @@ from rulebend.model import (
 )
 from rulebend.sim import Scenario, ResidentConfig, Terminal, run_episode
 from rulebend.utility import (
+    RISK_MODES,
     UTILITY_GRID,
     autonomy_utility,
     behaviour_risk,
@@ -308,8 +310,8 @@ def test_c07_evaluation_properties_hold_on_ten_thousand_random_inputs():
         w = round(rng.uniform(-1.0, 1.0), 6)
         mode = rng.choice(("literal", "harm"))
 
-        result = evaluate(behaviour, ctx, profile, verdict, opinion,
-                          au, w, risk_mode=mode)
+        result = evaluate(behaviour, situation_risk(ctx, mode), profile,
+                          verdict, opinion, au, w)
 
         # totality: a defined verdict for every input, no exceptions
         assert result.desirability in (0, 1)
@@ -327,8 +329,8 @@ def test_c07_evaluation_properties_hold_on_ten_thousand_random_inputs():
         if r_pref < 10:
             braver = dataclasses.replace(
                 profile, risk_propensity=float(r_pref + 1))
-            again = evaluate(behaviour, ctx, braver, verdict, opinion,
-                             au, w, risk_mode=mode)
+            again = evaluate(behaviour, situation_risk(ctx, mode), braver,
+                             verdict, opinion, au, w)
             assert result.desirability <= again.desirability
 
         # raising one value weight moves the verdict in the direction
@@ -338,8 +340,8 @@ def test_c07_evaluation_properties_hold_on_ten_thousand_random_inputs():
         pref = w_pref if tag == "wellbeing" else a_pref
         if pref < 10:
             bumped = dataclasses.replace(profile, **{tag: float(pref + 1)})
-            shifted = evaluate(behaviour, ctx, bumped, verdict, opinion,
-                               au, w, risk_mode=mode)
+            shifted = evaluate(behaviour, situation_risk(ctx, mode), bumped,
+                               verdict, opinion, au, w)
             if result.branch is Branch.BEND_EVALUATED:
                 if tag in opinion.intentions:
                     assert result.desirability <= shifted.desirability
@@ -503,9 +505,9 @@ def _replay(jsonl: str, profiles):
                 trace=(),
             )
             result = evaluate(
-                behaviour, ctx, profile, verdict, opinion,
+                behaviour, situation_risk(ctx, meta["risk_mode"]), profile,
+                verdict, opinion,
                 entry["autonomy_utility"], entry["wellbeing_utility"],
-                risk_mode=meta["risk_mode"],
             )
             assert result.desirability == entry["desirability"]
             assert result.template_id == entry["template_id"]
@@ -528,6 +530,23 @@ def test_c10_runs_are_byte_identical_and_replayable(seed_kb, profiles):
     harm = run_episode(_resolve_scenario("case1"), profiles["AR"], seed_kb,
                        risk_mode="harm").to_jsonl()
     assert _replay(harm, profiles) > 0
+
+
+#: sha256 of the 48 grid logs, concatenated in RISK_MODES x CASE_ORDER x
+#: PROFILE_ORDER order.  A change that alters any log byte must re-pin it
+#: on purpose.
+GRID_LOGS_SHA256 = "9f4f379243c72b02804a6e0d1b5adc7b56e5e8e7abf5af0ffff194bede2953bb"
+
+
+def test_c10_grid_logs_match_their_pinned_digest(seed_kb, profiles):
+    digest = hashlib.sha256()
+    for mode in RISK_MODES:
+        for case in CASE_ORDER:
+            scenario = _resolve_scenario(case)
+            for name in PROFILE_ORDER:
+                log = run_episode(scenario, profiles[name], seed_kb, risk_mode=mode)
+                digest.update(log.to_jsonl().encode("utf-8"))
+    assert digest.hexdigest() == GRID_LOGS_SHA256
 
 
 # ----------------------------------------------------------------------
@@ -610,9 +629,9 @@ def test_c12_harm_risk_discriminates(profiles):
     opinion = CaseOpinion(acceptable=True, score=1.0,
                           intentions=frozenset({"autonomy"}), trace=())
     record = Behaviour(BehaviourKind.RECORD)
-    adventurous = evaluate(record, ctx, profiles["AR"], verdict, opinion,
-                           0.5, -0.5, risk_mode="harm")
-    cautious = evaluate(record, ctx, profiles["A"], verdict, opinion,
-                        0.5, -0.5, risk_mode="harm")
+    adventurous = evaluate(record, situation_risk(ctx, "harm"), profiles["AR"],
+                           verdict, opinion, 0.5, -0.5)
+    cautious = evaluate(record, situation_risk(ctx, "harm"), profiles["A"],
+                        verdict, opinion, 0.5, -0.5)
     assert adventurous.desirability == 1 and adventurous.template_id == 1
     assert cautious.desirability == 0 and cautious.template_id == 4

@@ -102,7 +102,17 @@ class TestRun:
         ("missed_doses", "inf", "missed_doses must be finite"),
         ("missed_doses", "nan", "missed_doses must be finite"),
         ("resident", [], "resident must be an object"),
-    ], ids=["inf-doses", "nan-doses", "list-resident"])
+        ("resident", {"takes_medication": "false"},
+         "takes_medication must be a JSON boolean"),
+        ("epsilon_m", 1.9, "epsilon_m must be a JSON integer"),
+        ("epsilon_m", True, "epsilon_m must be a JSON integer"),
+        ("max_steps", 1.9, "max_steps must be a JSON integer"),
+        ("max_steps", True, "max_steps must be a JSON integer"),
+        ("max_steps", "5", "max_steps must be a JSON integer"),
+        ("max_steps", 30, "max_steps must be in 1..29"),
+    ], ids=["inf-doses", "nan-doses", "list-resident", "string-flag",
+            "float-epsilon", "bool-epsilon", "float-steps", "bool-steps",
+            "string-steps", "steps-past-horizon"])
     def test_malformed_scenario_is_invalid_input(self, tmp_path, caplog,
                                                  field, value, message):
         spec = {"format_version": 1, "name": "bad", "epsilon_m": 1,
@@ -226,6 +236,32 @@ class TestKbTrace:
         }), encoding="utf-8")
         assert main(["kb-trace", str(query)]) == EXIT_INVALID
         assert f"{field} must be finite" in caplog.text
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("field,value", [
+        ("acknowledged_without_taking", "false"),
+        ("instruction_pending", 0),
+        ("epsilon_m", 1.9),
+        ("epsilon_m", True),
+        ("follow_ups", "1"),
+        ("snoozes_granted", 1.0),
+        ("snooze_remaining", None),
+        ("step", False),
+    ])
+    def test_query_fields_must_have_their_json_type(self, tmp_path, caplog, capsys,
+                                                    field, value):
+        spec = {
+            "epsilon_m": 1, "missed_doses": 0.0, "follow_ups": 1,
+            "reminder_state": "acknowledged",
+            "last_instruction": "acknowledge",
+            "acknowledged_without_taking": True,
+            "behaviour": "follow_up",
+        }
+        spec[field] = value
+        query = tmp_path / "query.json"
+        query.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["kb-trace", str(query)]) == EXIT_INVALID
+        assert f"{field} must be a JSON" in caplog.text
         assert capsys.readouterr().out == ""
 
     def test_query_file_must_exist(self, tmp_path, caplog):

@@ -8,6 +8,7 @@ from rulebend.evaluator import (
     EvaluationResult,
     evaluate,
     render_explanation,
+    situation_risk,
 )
 from rulebend.model import (
     Behaviour,
@@ -55,7 +56,7 @@ SNOOZE = Behaviour(BehaviourKind.SNOOZE)
 
 def test_permissible_and_acceptable_is_desirable_as_is():
     result = evaluate(
-        FOLLOW_UP, breach_context(), prof(5, 5, 5),
+        FOLLOW_UP, situation_risk(breach_context()), prof(5, 5, 5),
         PERMISSIBLE, opinion(True, "autonomy"), -0.1, -0.35,
     )
     assert result.desirability == 1
@@ -66,7 +67,7 @@ def test_permissible_and_acceptable_is_desirable_as_is():
 
 def test_impermissible_and_unacceptable_is_rejected_as_is():
     result = evaluate(
-        RECORD, breach_context(), prof(5, 5, 5),
+        RECORD, situation_risk(breach_context()), prof(5, 5, 5),
         BREACH_OF_2, opinion(False, "autonomy"), 0.5, -0.5,
     )
     assert result.desirability == 0
@@ -84,7 +85,7 @@ def test_bend_passing_every_gate_is_desirable():
     # wellbeing -0.5 is exactly on the loss floor (5-10)/10: not below,
     # so it passes; autonomy 0.5 clears the gain floor (10-7)/10
     result = evaluate(
-        RECORD, breach_context(), prof(5, 7, 9),
+        RECORD, situation_risk(breach_context()), prof(5, 7, 9),
         BREACH_OF_2, opinion(True, "autonomy"), 0.5, -0.5,
     )
     assert result.desirability == 1
@@ -95,7 +96,7 @@ def test_bend_passing_every_gate_is_desirable():
 
 def test_bend_fails_when_an_untargeted_value_drops_too_far():
     result = evaluate(
-        RECORD, breach_context(), prof(5, 7, 9),
+        RECORD, situation_risk(breach_context()), prof(5, 7, 9),
         BREACH_OF_2, opinion(True, "autonomy"), 0.5, -0.8,
     )
     assert result.desirability == 0
@@ -105,7 +106,7 @@ def test_bend_fails_when_an_untargeted_value_drops_too_far():
 
 def test_bend_fails_when_the_targeted_value_gains_too_little():
     result = evaluate(
-        RECORD, breach_context(), prof(5, 7, 9),
+        RECORD, situation_risk(breach_context()), prof(5, 7, 9),
         BREACH_OF_2, opinion(True, "autonomy"), 0.2, -0.5,
     )
     assert result.desirability == 0
@@ -115,7 +116,7 @@ def test_bend_fails_when_the_targeted_value_gains_too_little():
 
 def test_bend_fails_on_risk_after_values_pass():
     result = evaluate(
-        RECORD, breach_context(), prof(5, 7, 1),
+        RECORD, situation_risk(breach_context()), prof(5, 7, 1),
         BREACH_OF_2, opinion(True, "autonomy"), 0.5, -0.5,
     )
     assert result.desirability == 0
@@ -129,7 +130,7 @@ def test_bend_fails_on_risk_after_values_pass():
 def test_wellbeing_gate_runs_before_autonomy():
     # both gates would fail; the explanation names the first in order
     result = evaluate(
-        RECORD, breach_context(), prof(5, 7, 9),
+        RECORD, situation_risk(breach_context()), prof(5, 7, 9),
         BREACH_OF_2, opinion(True, "autonomy"), 0.2, -0.8,
     )
     assert result.failed_value == "wellbeing"
@@ -143,7 +144,7 @@ def test_wellbeing_gate_runs_before_autonomy():
 def test_suppress_on_wellbeing_grounds():
     ctx = pending_context()
     result = evaluate(
-        SNOOZE, ctx, prof(9, 5, 9),
+        SNOOZE, situation_risk(ctx), prof(9, 5, 9),
         PERMISSIBLE, opinion(False, "wellbeing"), 1.0, -0.9,
     )
     assert result.desirability == 0
@@ -154,7 +155,7 @@ def test_suppress_on_wellbeing_grounds():
 
 def test_suppress_on_autonomy_grounds():
     result = evaluate(
-        FOLLOW_UP, breach_context(), prof(5, 7, 9),
+        FOLLOW_UP, situation_risk(breach_context()), prof(5, 7, 9),
         PERMISSIBLE, opinion(False, "autonomy"), -0.7, -0.35,
     )
     assert result.desirability == 0
@@ -166,7 +167,7 @@ def test_suppress_ignores_values_the_stance_does_not_serve():
     # wellbeing is terrible but the adverse precedent is autonomy-minded,
     # so only autonomy is gated; -0.2 stays above the loss floor -0.3
     result = evaluate(
-        FOLLOW_UP, breach_context(), prof(9, 7, 9),
+        FOLLOW_UP, situation_risk(breach_context()), prof(9, 7, 9),
         PERMISSIBLE, opinion(False, "autonomy"), -0.2, -0.95,
     )
     assert result.desirability == 1
@@ -175,7 +176,7 @@ def test_suppress_ignores_values_the_stance_does_not_serve():
 
 def test_suppress_fails_on_risk_after_values_pass():
     result = evaluate(
-        FOLLOW_UP, breach_context(), prof(5, 7, 1),
+        FOLLOW_UP, situation_risk(breach_context()), prof(5, 7, 1),
         PERMISSIBLE, opinion(False, "autonomy"), -0.2, -0.35,
     )
     assert result.desirability == 0
@@ -185,7 +186,7 @@ def test_suppress_fails_on_risk_after_values_pass():
 
 def test_suppress_overridden_when_everything_is_within_character():
     result = evaluate(
-        FOLLOW_UP, breach_context(), prof(5, 7, 9),
+        FOLLOW_UP, situation_risk(breach_context()), prof(5, 7, 9),
         PERMISSIBLE, opinion(False, "autonomy"), -0.2, -0.35,
     )
     assert result.desirability == 1
@@ -205,9 +206,8 @@ def test_recording_early_is_a_bend_an_adventurous_character_accepts():
                          snoozes=2, step=19)
     adventurous = prof(2, 9, 9, name="M_ar")
     result = evaluate(
-        RECORD, ctx, adventurous,
+        RECORD, situation_risk(ctx, "harm"), adventurous,
         BREACH_OF_2, opinion(True, "autonomy"), 0.5, -0.5,
-        risk_mode="harm",
     )
     assert result.desirability == 1
     assert result.template_id == 1
@@ -215,9 +215,8 @@ def test_recording_early_is_a_bend_an_adventurous_character_accepts():
 
     cautious = prof(3, 7, 1, name="A")
     blocked = evaluate(
-        RECORD, ctx, cautious,
+        RECORD, situation_risk(ctx, "literal"), cautious,
         BREACH_OF_2, opinion(True, "autonomy"), 0.5, -0.5,
-        risk_mode="literal",
     )
     assert blocked.desirability == 0
     assert blocked.template_id == 4  # values pass, risk ceiling does not
@@ -226,7 +225,7 @@ def test_recording_early_is_a_bend_an_adventurous_character_accepts():
 def test_compliant_snooze_suppressed_by_a_wellbeing_guardian():
     ctx = pending_context()
     result = evaluate(
-        SNOOZE, ctx, prof(9, 2, 2, name="M_wr"),
+        SNOOZE, situation_risk(ctx), prof(9, 2, 2, name="M_wr"),
         PERMISSIBLE, opinion(False, "wellbeing"), 1.0, -0.9,
     )
     assert result.desirability == 0
@@ -243,8 +242,8 @@ def test_result_records_the_risk_reading_it_used():
     ctx = breach_context(snoozes=2)
     for mode in ("literal", "harm"):
         result = evaluate(
-            FOLLOW_UP, ctx, prof(5, 5, 5),
-            PERMISSIBLE, opinion(True), -0.1, -0.35, risk_mode=mode,
+            FOLLOW_UP, situation_risk(ctx, mode), prof(5, 5, 5),
+            PERMISSIBLE, opinion(True), -0.1, -0.35,
         )
         assert result.risk_mode == mode
         assert result.risk_spec == situation_spec(ctx)
@@ -253,7 +252,7 @@ def test_result_records_the_risk_reading_it_used():
 
 def test_explanation_comes_from_the_assigned_template():
     result = evaluate(
-        RECORD, breach_context(), prof(5, 7, 9),
+        RECORD, situation_risk(breach_context()), prof(5, 7, 9),
         BREACH_OF_2, opinion(True, "autonomy"), 0.5, -0.5,
     )
     assert result.explanation == render_explanation(

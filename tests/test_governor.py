@@ -2,6 +2,7 @@
 
 import pytest
 
+from rulebend import evaluator
 from rulebend.governor import (
     ARBITRATION_PRIORITY,
     GovernorError,
@@ -152,6 +153,23 @@ class TestDecide:
         assert all(
             e.evaluation.risk_mode == "harm" for e in rec.blackboard.entries
         )
+
+    def test_reads_the_situation_risk_once_per_decision(
+        self, seed_kb, profiles, monkeypatch
+    ):
+        calls = []
+        real = evaluator.behaviour_risk
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluator, "behaviour_risk", counted)
+        rec = decide(breach_context(), profiles["A"], seed_kb)
+        assert len(rec.blackboard.entries) == 3
+        assert len(calls) == 1
+        risk = evaluator.situation_risk(breach_context()).risk
+        assert all(e.evaluation.risk == risk for e in rec.blackboard.entries)
 
 
 class TestArbitrate:

@@ -52,6 +52,13 @@ class TestGammaSpec:
     def test_default_shift(self):
         assert GammaSpec(shape=1.0, scale=0.1).shift == -1.0
 
+    @pytest.mark.parametrize("field", ["shape", "scale", "shift"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_parameters(self, field, value):
+        params = {"shape": 4.5, "scale": 0.05, "shift": -1.0, field: value}
+        with pytest.raises(ModelError, match="finite"):
+            GammaSpec(**params)
+
 
 class TestCharacterProfile:
     def test_weight_for_known_tags(self):

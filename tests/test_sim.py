@@ -310,3 +310,33 @@ class TestScenarioIO:
     def test_non_object_rejected(self):
         with pytest.raises(ScenarioError):
             Scenario.from_dict([1, 2, 3])
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("takes_medication", "false", "takes_medication must be a JSON boolean"),
+        ("takes_medication", 0, "takes_medication must be a JSON boolean"),
+        ("takes_medication", None, "takes_medication must be a JSON boolean"),
+        ("epsilon_m", 1.9, "epsilon_m must be a JSON integer"),
+        ("epsilon_m", True, "epsilon_m must be a JSON integer"),
+        ("epsilon_m", "1", "epsilon_m must be a JSON integer"),
+        ("epsilon_m", 1.0, "epsilon_m must be a JSON integer"),
+        ("max_steps", 1.9, "max_steps must be a JSON integer"),
+        ("max_steps", True, "max_steps must be a JSON integer"),
+        ("max_steps", "5", "max_steps must be a JSON integer"),
+        ("max_steps", 0, r"max_steps must be in 1\.\.29"),
+        ("max_steps", MAX_STEPS + 1, r"max_steps must be in 1\.\.29"),
+    ])
+    def test_fields_must_have_their_json_type_and_range(self, field, value, message):
+        spec = {"format_version": 1, "name": "x", "epsilon_m": 1,
+                "missed_doses": 0.0, "resident": {"takes_medication": False}}
+        target = spec["resident"] if field == "takes_medication" else spec
+        target[field] = value
+        with pytest.raises(ScenarioError, match=message):
+            Scenario.from_dict(spec)
+
+    @pytest.mark.parametrize("value", [1, MAX_STEPS])
+    def test_max_steps_accepts_the_horizon_ends(self, value):
+        loaded = Scenario.from_dict({
+            "format_version": 1, "name": "x", "epsilon_m": 1,
+            "missed_doses": 0.0, "max_steps": value,
+        })
+        assert loaded.max_steps == value

@@ -6,6 +6,8 @@ against an arbitrary-precision oracle.
 """
 
 import math
+import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,9 @@ from rulebend.utility import (
     autonomy_utility,
     behaviour_risk,
     gamma_pdf,
+    pmax_scan,
     pmax_utility,
+    risk_scan,
     risk_threshold,
     scale_param,
     shape_param,
@@ -34,6 +38,9 @@ from rulebend.utility import (
     value_thresholds,
     wellbeing_utility,
 )
+
+from rulebend import utility
+from rulebend.sim import MAX_STEPS
 
 from conftest import breach_context, pending_context
 
@@ -118,6 +125,95 @@ def test_pmax_with_mode_at_shift_picks_first_point_above_it():
     # exactly zero at the shift, so the first grid point above wins
     spec = GammaSpec(1.0, 0.05)
     assert pmax_utility(spec) == -0.95
+
+
+# ----------------------------------------------------------------------
+# closed-form peaks against the 41-point scans, bit for bit
+# ----------------------------------------------------------------------
+
+
+def _bits(x):
+    # tells -0.0 from 0.0, which == does not
+    return struct.pack("<d", x)
+
+
+def _peaks(spec):
+    return [pmax_utility(spec)] + [behaviour_risk(spec, m) for m in RISK_MODES]
+
+
+def _scans(spec):
+    return [pmax_scan(spec)] + [risk_scan(spec, m) for m in RISK_MODES]
+
+
+def _assert_matches_the_scans(specs):
+    for spec in specs:
+        assert list(map(_bits, _peaks(spec))) == list(map(_bits, _scans(spec))), spec
+
+
+def _reachable_doses():
+    """Every dose a decision can look up: d + f/8, f/3, f/4, d + 1, d + s/8.
+
+    d is a packaged scenario's missed-dose count; the follow-up count f
+    and the snooze count s cannot exceed the episode horizon.
+    """
+    doses = set()
+    for d in (0.0, 2.0):
+        doses.add(d + 1.0)
+        for n in range(MAX_STEPS + 1):
+            doses.update((d + n / 8.0, d + n / 3.0, d + n / 4.0))
+    return sorted(doses)
+
+
+def test_closed_form_peaks_match_the_scans_on_every_reachable_spec(monkeypatch):
+    specs = [GammaSpec(shape_param(eps), scale_param(dose))
+             for eps in (1, 2, 3) for dose in _reachable_doses()]
+    expected = [_scans(spec) for spec in specs]
+
+    def no_scan(*args):
+        raise AssertionError("a reachable spec fell back to the scan")
+
+    monkeypatch.setattr(utility, "pmax_scan", no_scan)
+    monkeypatch.setattr(utility, "risk_scan", no_scan)
+    for spec, want in zip(specs, expected):
+        assert list(map(_bits, _peaks(spec))) == list(map(_bits, want)), spec
+
+
+def test_closed_form_peaks_match_the_scans_on_random_real_doses():
+    rng = random.Random(20240722)
+    _assert_matches_the_scans(
+        GammaSpec(shape_param(rng.randint(1, 3)), scale_param(rng.uniform(0.0, 8.0)))
+        for _ in range(100_000)
+    )
+
+
+def test_closed_form_peaks_match_the_scans_on_log_uniform_specs():
+    rng = random.Random(60)
+    specs = [
+        GammaSpec(math.exp(rng.uniform(0.0, math.log(1e6))),
+                  math.exp(rng.uniform(math.log(1e-7), math.log(1e4))))
+        for _ in range(10_000)
+    ]
+    _assert_matches_the_scans(specs)
+    # the family reaches total underflow, where only the fallback is exact
+    underflow = [s for s in specs
+                 if not any(gamma_pdf(x, s) for x in UTILITY_GRID)]
+    assert len(underflow) > 100
+
+
+def test_total_underflow_keeps_the_scans_tie_rules():
+    spec = GammaSpec(2.0, 1e-6)  # every grid density underflows to 0.0
+    assert not any(gamma_pdf(x, spec) for x in UTILITY_GRID)
+    assert pmax_utility(spec) == 1.0  # the later of equal values
+    assert _bits(behaviour_risk(spec, "literal")) == _bits(-0.0)  # the first
+    assert _bits(behaviour_risk(spec, "harm")) == _bits(0.0)
+
+
+def test_a_density_too_flat_to_show_its_peak_falls_back_to_the_scan():
+    # the true peak is at -1, but at this scale every grid value rounds
+    # to the same float, so the scan's later-equal rule picks 1.0
+    spec = GammaSpec(1.0, 1e15)
+    assert len({gamma_pdf(x, spec) for x in UTILITY_GRID[1:]}) == 1
+    assert pmax_utility(spec) == pmax_scan(spec) == 1.0
 
 
 # ----------------------------------------------------------------------
