@@ -46,6 +46,7 @@ from .model import (
     RuleVerdict,
     SIMULATED_KINDS,
     VALUE_TAGS,
+    json_field,
 )
 
 FORMAT_VERSION = 1
@@ -489,15 +490,17 @@ def _case_from_record(record: Dict[str, object], path: Path, lineno: int) -> Cas
     try:
         return Case(
             case_id=str(record["case_id"]),
-            epsilon_m=int(record["epsilon_m"]),
-            missed_doses=float(record["missed_doses"]),
-            follow_ups=int(record["follow_ups"]),
+            epsilon_m=json_field(record, "epsilon_m", int),
+            missed_doses=json_field(record, "missed_doses", float),
+            follow_ups=json_field(record, "follow_ups", int),
             reminder_state=ReminderState(record["reminder_state"]),
-            acknowledged_without_taking=bool(record["acknowledged_without_taking"]),
+            acknowledged_without_taking=json_field(
+                record, "acknowledged_without_taking", bool
+            ),
             behaviour=BehaviourKind(record["behaviour"]),
-            autonomy_utility=float(record["autonomy_utility"]),
-            wellbeing_utility=float(record["wellbeing_utility"]),
-            acceptability=float(record["acceptability"]),
+            autonomy_utility=json_field(record, "autonomy_utility", float),
+            wellbeing_utility=json_field(record, "wellbeing_utility", float),
+            acceptability=json_field(record, "acceptability", float),
             intention=tuple(record["intention"]),
         )
     except (KBError, ValueError, TypeError) as exc:

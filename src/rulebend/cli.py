@@ -115,9 +115,9 @@ def load_profiles(path: Path | str) -> Dict[str, CharacterProfile]:
         try:
             profile = CharacterProfile(
                 name=name,
-                wellbeing=float(entry["wellbeing"]),
-                autonomy=float(entry["autonomy"]),
-                risk_propensity=float(entry["risk_propensity"]),
+                wellbeing=json_field(entry, "wellbeing", float),
+                autonomy=json_field(entry, "autonomy", float),
+                risk_propensity=json_field(entry, "risk_propensity", float),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ProfileError(f"{path}: profile {name!r} invalid ({exc})") from exc
@@ -154,16 +154,21 @@ def _packaged_scenarios() -> Dict[str, Scenario]:
 
 
 def _load_expected(path_arg: Optional[str]) -> Dict[str, Dict[str, int]]:
+    """A reference or target grid: an integer class for every cell."""
     path = Path(path_arg) if path_arg else _packaged("expected_matrix.json")
     if not path.exists():
         raise ModelError(f"reference grid not found: {path}")
     data = json.loads(path.read_text(encoding="utf-8"))
-    if data.get("format_version") != 1 or "grid" not in data:
-        raise ModelError(f"{path}: not a reference grid file")
-    return {
-        case: {prof: int(v) for prof, v in row.items()}
-        for case, row in data["grid"].items()
-    }
+    try:
+        if not isinstance(data, dict) or json_field(data, "format_version", int) != 1:
+            raise ModelError(f"{path}: not a reference grid file")
+        grid = data["grid"]
+        return {
+            case: {name: json_field(grid[case], name, int) for name in PROFILE_ORDER}
+            for case in CASE_ORDER
+        }
+    except (KeyError, TypeError) as exc:
+        raise ModelError(f"{path}: not a reference grid file ({exc})") from exc
 
 
 # ----------------------------------------------------------------------
@@ -302,7 +307,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     for case in CASE_ORDER:
         for name in PROFILE_ORDER:
             got = grid[case][name]
-            want = expected.get(case, {}).get(name)
+            want = expected[case][name]
             if got != want:
                 diff.append(
                     {"case": case, "profile": name, "got": got, "expected": want}
@@ -359,99 +364,73 @@ def _profile_entry(point: Tuple[int, int, int]) -> Dict[str, int]:
     return dict(zip(("wellbeing", "autonomy", "risk_propensity"), point))
 
 
-def _profile_column(
+def _search(
     kb: CaseBase,
     scenarios: Dict[str, Scenario],
-    profile: CharacterProfile,
+    name: str,
     risk_mode: str,
     target: Dict[str, int],
-    early_abort: bool = True,
-) -> Tuple[int, Dict[str, int]]:
-    """Matches against target per case; returns (match count, column)."""
-    registry = SignatureRegistry()
-    matches = 0
-    column: Dict[str, int] = {}
-    for case, scenario in scenarios.items():
-        episode = run_episode(scenario, profile, kb, risk_mode=risk_mode)
-        got = behaviour_id(episode, registry)
-        column[case] = got
-        if got == target[case]:
-            matches += 1
-        elif early_abort:
-            break
-    return matches, column
+) -> Tuple[int, Tuple[int, int, int], Dict[str, int], int]:
+    """(matches, point, column, points tried) of the lexicographically
+    first constrained point of ``name`` with the most matching cases.
+
+    A point stops once matching every remaining case could not beat the
+    best; only a strictly better point replaces it, so its column is
+    always complete.  The search stops at the first full match.
+    """
+    best = (-1, None, {}, 0)
+    for tried, point in enumerate(_constrained_points(name), start=1):
+        profile = _profile_at(name, point)
+        registry = SignatureRegistry()
+        matches = 0
+        column: Dict[str, int] = {}
+        for i, (case, scenario) in enumerate(scenarios.items()):
+            if matches + len(scenarios) - i <= best[0]:
+                break
+            episode = run_episode(scenario, profile, kb, risk_mode=risk_mode)
+            column[case] = behaviour_id(episode, registry)
+            if column[case] == target[case]:
+                matches += 1
+        if matches > best[0]:
+            best = (matches, point, column, tried)
+            if matches == len(scenarios):
+                break
+    return best
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    """One bounded search pass per profile (see README, "calibrate")."""
     kb = _load_kb(args.kb)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log_lines: List[str] = []
+    profiles_dict = {}
 
     if args.constraints_only:
-        profiles_dict = {}
         for name in PROFILE_ORDER:
             point = next(_constrained_points(name))
             profiles_dict[name] = _profile_entry(point)
             log_lines.append(f"{name}: constraint-feasible default {point}")
-        result = {"format_version": PROFILES_FORMAT_VERSION, "profiles": profiles_dict}
-        (out / "calibrated_profiles.json").write_text(
-            json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        (out / "calibration_log.txt").write_text(
-            "\n".join(log_lines) + "\n", encoding="utf-8"
-        )
-        print("\n".join(log_lines))
-        return EXIT_OK
-
-    if args.target:
-        target_grid = _load_expected(args.target)
     else:
-        target_grid = _load_expected(None)
-    scenarios = _packaged_scenarios()
-
-    profiles_dict = {}
-    any_missing = False
-    for name in PROFILE_ORDER:
-        target_column = {case: target_grid[case][name] for case in CASE_ORDER}
-        found = None
-        tried = 0
-        for point in _constrained_points(name):
-            tried += 1
-            matches, column = _profile_column(
-                kb, scenarios, _profile_at(name, point), args.risk_mode, target_column
+        target_grid = _load_expected(args.target)
+        scenarios = _packaged_scenarios()
+        for name in PROFILE_ORDER:
+            target = {case: target_grid[case][name] for case in CASE_ORDER}
+            matches, point, column, tried = _search(
+                kb, scenarios, name, args.risk_mode, target
             )
             if matches == len(CASE_ORDER):
-                found = point
-                break
-        if found is not None:
-            log_lines.append(
-                f"{name}: found (C_w={found[0]}, C_au={found[1]}, C_rp={found[2]}) "
-                f"after {tried} grid points (lexicographic order; further "
-                f"solutions may exist)"
-            )
-            profiles_dict[name] = _profile_entry(found)
-        else:
-            any_missing = True
-            # second pass without early abort: rank every point by its
-            # true per-case match count for an honest nearest miss
-            best = (-1, None, None)
-            for point in _constrained_points(name):
-                matches, column = _profile_column(
-                    kb,
-                    scenarios,
-                    _profile_at(name, point),
-                    args.risk_mode,
-                    target_column,
-                    early_abort=False,
+                log_lines.append(
+                    f"{name}: found (C_w={point[0]}, C_au={point[1]}, C_rp={point[2]}) "
+                    f"after {tried} grid points (lexicographic order; further "
+                    f"solutions may exist)"
                 )
-                if matches > best[0]:
-                    best = (matches, point, column)
-            matches, point, full_column = best
+                profiles_dict[name] = _profile_entry(point)
+                continue
             misses = {
-                case: {"got": full_column[case], "want": target_column[case]}
+                case: {"got": column[case], "want": target[case]}
                 for case in CASE_ORDER
-                if full_column[case] != target_column[case]
+                if column[case] != target[case]
             }
             log_lines.append(
                 f"{name}: no trait triple in the constrained grid reproduces the "
@@ -464,13 +443,14 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "\n".join(log_lines) + "\n", encoding="utf-8"
     )
     print("\n".join(log_lines))
-    if any_missing:
+    if len(profiles_dict) < len(PROFILE_ORDER):
         return EXIT_MISMATCH
     result = {"format_version": PROFILES_FORMAT_VERSION, "profiles": profiles_dict}
     (out / "calibrated_profiles.json").write_text(
         json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(f"wrote calibrated_profiles.json -> {out}")
+    if not args.constraints_only:
+        print(f"wrote calibrated_profiles.json -> {out}")
     return EXIT_OK
 
 
@@ -481,10 +461,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _utility_override(data: dict, key: str) -> Optional[float]:
     """The query's explicit utility ``key``, or None when it is absent."""
-    value = data.get(key)
-    if value is None:
+    if data.get(key) is None:
         return None
-    value = float(value)
+    value = json_field(data, key, float)
     if not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
     return value
@@ -504,7 +483,7 @@ def _query_from_spec(data: dict, kb: CaseBase) -> CaseOpinion:
         last = data.get("last_instruction")
         ctx = DecisionContext(
             epsilon_m=json_field(data, "epsilon_m", int),
-            missed_doses=float(data["missed_doses"]),
+            missed_doses=json_field(data, "missed_doses", float),
             follow_ups=json_field(data, "follow_ups", int),
             reminder_state=ReminderState(data["reminder_state"]),
             last_instruction=Instruction(last) if last else None,

@@ -40,23 +40,29 @@ class ContextError(ModelError):
 
 
 _REQUIRED = object()
-_JSON_TYPE_NAMES = {bool: "boolean", int: "integer"}
+_JSON_TYPE_NAMES = {bool: "boolean", int: "integer", float: "number"}
 
 
 def json_field(data: dict, key: str, kind: type, default: Any = _REQUIRED) -> Any:
     """``data[key]``, which must be a JSON value of exactly ``kind``.
 
-    ``kind`` is ``bool`` or ``int``; an int field rejects ``true`` as it
-    rejects ``1.9`` and ``"5"``, rather than coercing them.  Raises
-    KeyError when a field without a default is missing and TypeError on
-    the wrong type, for the boundary to report as invalid input.
+    ``kind`` is ``bool``, ``int`` or ``float``.  An int field rejects
+    ``true`` as it rejects ``1.9`` and ``"5"``, rather than coercing
+    them; a float field takes any JSON number, never a boolean or a
+    string, and returns it as a float.  Raises KeyError when a field
+    without a default is missing, TypeError on the wrong type and
+    ValueError on an integer beyond float range, for the boundary to
+    report as invalid input.
     """
     value = data[key] if default is _REQUIRED else data.get(key, default)
-    if type(value) is not kind:
+    if type(value) not in ((int, float) if kind is float else (kind,)):
         raise TypeError(
             f"{key} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}"
         )
-    return value
+    try:
+        return kind(value)
+    except OverflowError as exc:
+        raise ValueError(f"{key} is beyond float range") from exc
 
 
 class BehaviourKind(str, Enum):

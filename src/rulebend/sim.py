@@ -135,7 +135,7 @@ class Scenario:
             return cls(
                 name=str(data["name"]),
                 epsilon_m=json_field(data, "epsilon_m", int),
-                missed_doses=float(data["missed_doses"]),
+                missed_doses=json_field(data, "missed_doses", float),
                 resident=resident,
                 max_steps=json_field(data, "max_steps", int, MAX_STEPS),
             )

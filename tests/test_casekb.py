@@ -454,12 +454,20 @@ class TestPersistence:
         with pytest.raises(KBError, match=r":2: expected a case record"):
             CaseBase.load(target)
 
-    def test_bad_case_field_reports_the_line(self, tmp_path):
+    @pytest.mark.parametrize("field, value", [
+        ("acceptability", 3.0),
+        ("acknowledged_without_taking", "false"),
+        ("follow_ups", 0.9),
+        ("epsilon_m", True),
+        ("missed_doses", "0.0"),
+        ("wellbeing_utility", True),
+    ])
+    def test_bad_case_field_reports_the_line(self, tmp_path, field, value):
         probe = tmp_path / "probe.jsonl"
         CaseBase([make_case("seed")]).save(probe)
         header_line, case_line = probe.read_text().splitlines()
         record = json.loads(case_line)
-        record["acceptability"] = 3.0
+        record[field] = value
         target = tmp_path / "kb.jsonl"
         target.write_text(
             header_line + "\n" + json.dumps(record, sort_keys=True) + "\n",

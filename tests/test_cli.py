@@ -1,10 +1,13 @@
 """Command-line harness: exit codes, artefacts, and messages."""
 
 import json
+import random
 
 import pytest
 
+import rulebend.cli as cli
 from rulebend.cli import (
+    CASE_ORDER,
     EXIT_INVALID,
     EXIT_MISMATCH,
     EXIT_OK,
@@ -12,12 +15,20 @@ from rulebend.cli import (
     _packaged,
     main,
 )
+from rulebend.sim import SignatureRegistry, behaviour_id, run_episode
 
 PACKAGED_GRID = _packaged("expected_matrix.json")
 
 
 def read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def grid_with(edit):
+    """The packaged reference grid document with ``edit`` applied."""
+    document = read_json(PACKAGED_GRID)
+    edit(document)
+    return document
 
 
 # ----------------------------------------------------------------------
@@ -99,8 +110,11 @@ class TestRun:
         assert code == EXIT_INVALID
 
     @pytest.mark.parametrize("field, value, message", [
-        ("missed_doses", "inf", "missed_doses must be finite"),
-        ("missed_doses", "nan", "missed_doses must be finite"),
+        ("missed_doses", float("inf"), "missed_doses must be finite"),
+        ("missed_doses", float("nan"), "missed_doses must be finite"),
+        ("missed_doses", "2.0", "missed_doses must be a JSON number"),
+        ("missed_doses", True, "missed_doses must be a JSON number"),
+        ("missed_doses", 10 ** 400, "missed_doses is beyond float range"),
         ("resident", [], "resident must be an object"),
         ("resident", {"takes_medication": "false"},
          "takes_medication must be a JSON boolean"),
@@ -110,7 +124,8 @@ class TestRun:
         ("max_steps", True, "max_steps must be a JSON integer"),
         ("max_steps", "5", "max_steps must be a JSON integer"),
         ("max_steps", 30, "max_steps must be in 1..29"),
-    ], ids=["inf-doses", "nan-doses", "list-resident", "string-flag",
+    ], ids=["inf-doses", "nan-doses", "string-doses", "bool-doses",
+            "huge-doses", "list-resident", "string-flag",
             "float-epsilon", "bool-epsilon", "float-steps", "bool-steps",
             "string-steps", "steps-past-horizon"])
     def test_malformed_scenario_is_invalid_input(self, tmp_path, caplog,
@@ -176,6 +191,30 @@ class TestMatrix:
                      "--profiles", str(sparse)])
         assert code == EXIT_INVALID
         assert "lacks" in caplog.text
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("matrix", "--expected"), ("calibrate", "--target"),
+])
+@pytest.mark.parametrize("document", [
+    [],
+    grid_with(lambda d: d.update(format_version=True)),
+    grid_with(lambda d: d["grid"].update(case1=[])),
+    grid_with(lambda d: d["grid"].pop("case3")),
+    grid_with(lambda d: d["grid"]["case1"].pop("A")),
+    grid_with(lambda d: d["grid"]["case1"].update(A="1")),
+    grid_with(lambda d: d["grid"]["case1"].update(A=True)),
+    grid_with(lambda d: d["grid"]["case1"].update(A=1.0)),
+], ids=["list", "bool-version", "list-row", "missing-case", "missing-cell",
+        "string-cell", "bool-cell", "float-cell"])
+def test_grid_file_needs_an_integer_for_every_cell(tmp_path, caplog, capsys,
+                                                  command, flag, document):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(document), encoding="utf-8")
+    code = main([command, "--out", str(tmp_path / "out"), flag, str(grid)])
+    assert code == EXIT_INVALID
+    assert "not a reference grid file" in caplog.text
+    assert capsys.readouterr().out == ""
 
 
 # ----------------------------------------------------------------------
@@ -247,6 +286,10 @@ class TestKbTrace:
         ("snoozes_granted", 1.0),
         ("snooze_remaining", None),
         ("step", False),
+        ("missed_doses", "2.0"),
+        ("missed_doses", True),
+        ("autonomy_utility", "0.5"),
+        ("wellbeing_utility", True),
     ])
     def test_query_fields_must_have_their_json_type(self, tmp_path, caplog, capsys,
                                                     field, value):
@@ -326,22 +369,77 @@ class TestCalibrate:
                      ]) == EXIT_OK
 
     def test_unreachable_target_reports_the_nearest_miss(
-            self, tmp_path, capsys):
+            self, tmp_path, capsys, monkeypatch):
         target = read_json(PACKAGED_GRID)
         target["grid"]["case1"]["A"] = 6
         target["grid"]["case2"]["A"] = 2
         target_path = tmp_path / "target.json"
         target_path.write_text(json.dumps(target), encoding="utf-8")
         out = tmp_path / "out"
+        episodes = []
+
+        def counted(*args, **kwargs):
+            episodes.append(args)
+            return run_episode(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_episode", counted)
         code = main(["calibrate", "--out", str(out),
                      "--target", str(target_path)])
         assert code == EXIT_MISMATCH
+        assert len(episodes) == 306
         stdout = capsys.readouterr().out
         assert "A: no trait triple in the constrained grid" in stdout
         assert "nearest miss" in stdout
         assert "matches 4/6" in stdout
         assert not (out / "calibrated_profiles.json").exists()
         assert (out / "calibration_log.txt").exists()
+
+
+class TestCalibrationSearch:
+    """The bounded search against brute force over profile A's points."""
+
+    @pytest.fixture(scope="class")
+    def cached(self):
+        """Profile A's 110 points with every scenario's episode log."""
+        kb = cli._load_kb(None)
+        scenarios = cli._packaged_scenarios()
+        points = list(cli._constrained_points("A"))
+        logs = {}
+        for point in points:
+            profile = cli._profile_at("A", point)
+            for scenario in scenarios.values():
+                logs[scenario.name, profile] = run_episode(scenario, profile, kb)
+        columns = []
+        for point in points:
+            registry = SignatureRegistry()
+            profile = cli._profile_at("A", point)
+            columns.append({
+                case: behaviour_id(logs[case, profile], registry)
+                for case in CASE_ORDER
+            })
+        return kb, scenarios, points, logs, columns
+
+    @staticmethod
+    def brute_force(points, columns, target):
+        """(matches, point, column, index) of the first point with the most
+        matches, counting every case of every point."""
+        counts = [sum(c[case] == target[case] for case in CASE_ORDER)
+                  for c in columns]
+        i = counts.index(max(counts))
+        return counts[i], points[i], columns[i], i + 1
+
+    def test_search_agrees_with_brute_force(self, cached, monkeypatch):
+        kb, scenarios, points, logs, columns = cached
+        monkeypatch.setattr(
+            cli, "run_episode",
+            lambda scenario, profile, kb, risk_mode: logs[scenario.name, profile])
+        classes = sorted({cls for c in columns for cls in c.values()})
+        rng = random.Random(7)
+        targets = [{case: rng.choice(classes) for case in CASE_ORDER}
+                   for _ in range(200)] + columns
+        for target in targets:
+            assert cli._search(kb, scenarios, "A", "literal", target) == \
+                self.brute_force(points, columns, target), target
 
 
 # ----------------------------------------------------------------------
@@ -359,10 +457,17 @@ class TestValidate:
         assert "profiles: ['A', 'AR', 'ARW', 'WR'] OK" in stdout
         assert "scenario: case3 OK" in stdout
 
-    def test_rejects_a_broken_profiles_file(self, tmp_path):
+    @pytest.mark.parametrize("field, value", [
+        ("wellbeing", 30),
+        ("risk_propensity", True),
+        ("risk_propensity", "1"),
+    ], ids=["out-of-range", "bool-trait", "string-trait"])
+    def test_rejects_a_broken_profiles_file(self, tmp_path, field, value):
+        entry = {"wellbeing": 3, "autonomy": 7, "risk_propensity": 1}
+        entry[field] = value
         broken = tmp_path / "profiles.json"
         broken.write_text(json.dumps({"format_version": 2, "profiles": {
-            "A": {"wellbeing": 30, "autonomy": 7, "risk_propensity": 1},
+            "A": entry,
         }}), encoding="utf-8")
         assert main(["validate", "--profiles", str(broken)]) == EXIT_INVALID
 

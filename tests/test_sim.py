@@ -1,6 +1,7 @@
 """Episode runner: timing, logging, classification, scenario files."""
 
 import json
+import math
 
 import pytest
 
@@ -291,7 +292,7 @@ class TestScenarioIO:
         with pytest.raises(ScenarioError):
             ResidentConfig(responses=())
 
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_missed_doses_rejected(self, value):
         with pytest.raises(ScenarioError, match="missed_doses must be finite"):
             Scenario.from_dict({
