@@ -13,7 +13,15 @@ from .evaluator import (
     render_explanation,
     situation_risk,
 )
-from .governor import Recommendation, arbitrate, candidate_behaviours, decide
+from .governor import (
+    Assessment,
+    Recommendation,
+    arbitrate,
+    assess,
+    candidate_behaviours,
+    decide,
+    judge,
+)
 from .model import (
     Behaviour,
     BehaviourKind,
@@ -50,6 +58,7 @@ from .utility import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Assessment",
     "Behaviour",
     "BehaviourKind",
     "Blackboard",
@@ -76,6 +85,7 @@ __all__ = [
     "Terminal",
     "TraceEntry",
     "arbitrate",
+    "assess",
     "autonomy_utility",
     "behaviour_id",
     "behaviour_risk",
@@ -84,6 +94,7 @@ __all__ = [
     "evaluate",
     "evaluate_rules",
     "feature_vector",
+    "judge",
     "render_explanation",
     "risk_threshold",
     "run_episode",

@@ -47,6 +47,7 @@ from .model import (
     SIMULATED_KINDS,
     VALUE_TAGS,
     json_field,
+    json_int_or_none,
 )
 
 FORMAT_VERSION = 1
@@ -457,14 +458,14 @@ def _parse_json(line: str, path: Path, lineno: int) -> Dict[str, object]:
 def _check_header(header: Dict[str, object], path: Path) -> None:
     if header.get("record_type") != "header":
         raise KBError(f"{path}: first record must be the header")
-    if header.get("format_version") != FORMAT_VERSION:
+    if json_int_or_none(header, "format_version") != FORMAT_VERSION:
         raise KBError(
             f"{path}: unsupported format_version {header.get('format_version')!r}; "
             f"this build reads version {FORMAT_VERSION}"
         )
     if header.get("feature_names") != list(FEATURE_NAMES):
         raise KBError(f"{path}: feature manifest does not match this build")
-    if header.get("dimension") != DIMENSION:
+    if json_int_or_none(header, "dimension") != DIMENSION:
         raise KBError(f"{path}: header dimension does not match this build")
 
 

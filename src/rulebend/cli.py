@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .casekb import CaseBase, CaseOpinion, KBError
+from .governor import AssessmentTable
 from .model import (
     Behaviour,
     BehaviourKind,
@@ -35,6 +36,7 @@ from .model import (
     ProfileError,
     ReminderState,
     json_field,
+    json_int_or_none,
     validate_profile,
 )
 from .rules import evaluate_rules
@@ -103,7 +105,10 @@ def load_profiles(path: Path | str) -> Dict[str, CharacterProfile]:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ProfileError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict) or data.get("format_version") != PROFILES_FORMAT_VERSION:
+    if (
+        not isinstance(data, dict)
+        or json_int_or_none(data, "format_version") != PROFILES_FORMAT_VERSION
+    ):
         raise ProfileError(
             f"{path}: expected format_version {PROFILES_FORMAT_VERSION}"
         )
@@ -269,12 +274,16 @@ def _run_matrix(
     risk_mode: str,
 ) -> Dict[str, Dict[str, int]]:
     registry = SignatureRegistry()
+    assessments: AssessmentTable = {}
     grid: Dict[str, Dict[str, int]] = {}
     for case, scenario in _packaged_scenarios().items():
         row = {}
         for name in PROFILE_ORDER:
             try:
-                episode = run_episode(scenario, profiles[name], kb, risk_mode=risk_mode)
+                episode = run_episode(
+                    scenario, profiles[name], kb,
+                    risk_mode=risk_mode, assessments=assessments,
+                )
             except Exception as exc:
                 raise RuntimeError(f"cell ({case}, {name}) failed: {exc}") from exc
             row[name] = behaviour_id(episode, registry)
@@ -370,6 +379,7 @@ def _search(
     name: str,
     risk_mode: str,
     target: Dict[str, int],
+    assessments: Optional[AssessmentTable] = None,
 ) -> Tuple[int, Tuple[int, int, int], Dict[str, int], int]:
     """(matches, point, column, points tried) of the lexicographically
     first constrained point of ``name`` with the most matching cases.
@@ -377,6 +387,7 @@ def _search(
     A point stops once matching every remaining case could not beat the
     best; only a strictly better point replaces it, so its column is
     always complete.  The search stops at the first full match.
+    Every episode decides through ``assessments``, the command's table.
     """
     best = (-1, None, {}, 0)
     for tried, point in enumerate(_constrained_points(name), start=1):
@@ -387,7 +398,9 @@ def _search(
         for i, (case, scenario) in enumerate(scenarios.items()):
             if matches + len(scenarios) - i <= best[0]:
                 break
-            episode = run_episode(scenario, profile, kb, risk_mode=risk_mode)
+            episode = run_episode(
+                scenario, profile, kb, risk_mode=risk_mode, assessments=assessments
+            )
             column[case] = behaviour_id(episode, registry)
             if column[case] == target[case]:
                 matches += 1
@@ -414,10 +427,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     else:
         target_grid = _load_expected(args.target)
         scenarios = _packaged_scenarios()
+        # profiles A..WR reach many of the same contexts: assess each once
+        assessments: AssessmentTable = {}
         for name in PROFILE_ORDER:
             target = {case: target_grid[case][name] for case in CASE_ORDER}
             matches, point, column, tried = _search(
-                kb, scenarios, name, args.risk_mode, target
+                kb, scenarios, name, args.risk_mode, target, assessments
             )
             if matches == len(CASE_ORDER):
                 log_lines.append(

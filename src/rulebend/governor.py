@@ -5,6 +5,17 @@ candidate behaviours, runs each through rule check, utilities, case
 lookup, and desirability evaluation, posts everything to a blackboard,
 and emits a recommendation.
 
+A decision has two halves.  ``assess`` does the profile-free work: the
+candidates, their rule verdicts, utilities and case-base opinions, and
+the situation's risk all depend on the decision context, the case base
+and the risk mode alone.  ``judge`` does the rest for one character:
+the desirability evaluation, the blackboard and the fallback.
+``decide`` runs both.  A command that decides the
+same contexts under many characters (``calibrate``, ``matrix``) owns an
+assessment table, a plain dict it passes to ``decide``, so each context
+is assessed once per command; a table belongs to one case base and one
+command and is never shared beyond it.
+
 Arbitration prefers the behaviour that carries out a pending resident
 instruction; among other desirable behaviours it escalates first
 (report over record over follow-up over reminders).  If nothing is
@@ -16,10 +27,10 @@ an action and the log shows the governor was overridden by necessity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from .casekb import CaseBase
-from .evaluator import evaluate, situation_risk
+from .casekb import CaseBase, CaseOpinion
+from .evaluator import SituationRisk, evaluate, situation_risk
 from .model import (
     Behaviour,
     BehaviourKind,
@@ -28,8 +39,10 @@ from .model import (
     CharacterProfile,
     ContextError,
     DecisionContext,
+    GammaSpec,
     Instruction,
     ReminderState,
+    RuleVerdict,
 )
 from .rules import evaluate_rules
 from .utility import autonomy_utility, wellbeing_utility
@@ -102,26 +115,57 @@ class Recommendation:
         return self.fallback is not None
 
 
-def decide(
+#: One assessed candidate: (behaviour, rule verdict, autonomy utility,
+#: wellbeing utility, wellbeing density, case-base opinion).
+Candidate = Tuple[Behaviour, RuleVerdict, float, float, GammaSpec, CaseOpinion]
+
+
+class Assessment(NamedTuple):
+    """The profile-free half of one decision."""
+
+    situation: SituationRisk
+    candidates: Tuple[Candidate, ...]   # in candidate_behaviours order
+
+
+#: An assessment table: one command's assessments under one case base,
+#: keyed by (context, risk mode).
+AssessmentTable = Dict[Tuple[DecisionContext, str], Assessment]
+
+
+def assess(
     ctx: DecisionContext,
-    profile: CharacterProfile,
     kb: CaseBase,
     risk_mode: str = "literal",
-) -> Recommendation:
-    """Run the full pipeline over the context-legal candidates.
+) -> Assessment:
+    """Everything about a decision that no character trait changes.
 
-    Never mutates the case base and never returns an empty
-    recommendation: when no candidate is desirable the rule-compliant
-    candidate with the highest combined utility is picked as fallback.
+    Reads the context, the case base and the risk mode only, never a
+    profile, so one assessment serves every character deciding ``ctx``.
     """
-    blackboard = Blackboard(context=ctx, profile=profile)
-    situation = situation_risk(ctx, risk_mode)
+    candidates = []
     for behaviour in candidate_behaviours(ctx):
         verdict = evaluate_rules(behaviour, ctx)
         au = autonomy_utility(behaviour, ctx)
         w, spec = wellbeing_utility(behaviour, ctx)
         opinion = kb.consult(behaviour, ctx, au, w, verdict)
-        evaluation = evaluate(behaviour, situation, profile, verdict, opinion, au, w)
+        candidates.append((behaviour, verdict, au, w, spec, opinion))
+    return Assessment(situation_risk(ctx, risk_mode), tuple(candidates))
+
+
+def judge(
+    ctx: DecisionContext,
+    assessment: Assessment,
+    profile: CharacterProfile,
+) -> Recommendation:
+    """The character's half of a decision on an assessment of ``ctx``.
+
+    Never returns an empty recommendation: when no candidate is
+    desirable the rule-compliant candidate with the highest combined
+    utility is picked as fallback.
+    """
+    blackboard = Blackboard(context=ctx, profile=profile)
+    situation = assessment.situation
+    for behaviour, verdict, au, w, spec, opinion in assessment.candidates:
         blackboard.post(
             BlackboardEntry(
                 behaviour=behaviour,
@@ -130,7 +174,9 @@ def decide(
                 wellbeing_utility=w,
                 wellbeing_spec=spec,
                 opinion=opinion,
-                evaluation=evaluation,
+                evaluation=evaluate(
+                    behaviour, situation, profile, verdict, opinion, au, w
+                ),
             )
         )
 
@@ -157,6 +203,30 @@ def decide(
     return Recommendation(
         desirable=(), fallback=best.behaviour, blackboard=blackboard
     )
+
+
+def decide(
+    ctx: DecisionContext,
+    profile: CharacterProfile,
+    kb: CaseBase,
+    risk_mode: str = "literal",
+    assessments: Optional[AssessmentTable] = None,
+) -> Recommendation:
+    """``judge`` on the assessment of ``ctx`` under ``risk_mode``.
+
+    Never mutates the case base.  With an assessment table the
+    assessment is read from it, and made and stored on a miss, so a
+    context is assessed once per table whatever the profile.  The
+    caller owns the table: it must hold assessments of ``kb`` only and
+    should live no longer than the command that made it.
+    """
+    if assessments is None:
+        return judge(ctx, assess(ctx, kb, risk_mode), profile)
+    key = (ctx, risk_mode)
+    assessment = assessments.get(key)
+    if assessment is None:
+        assessment = assessments[key] = assess(ctx, kb, risk_mode)
+    return judge(ctx, assessment, profile)
 
 
 def arbitrate(

@@ -65,6 +65,15 @@ def json_field(data: dict, key: str, kind: type, default: Any = _REQUIRED) -> An
         raise ValueError(f"{key} is beyond float range") from exc
 
 
+def json_int_or_none(data: dict, key: str) -> Optional[int]:
+    """``json_field(data, key, int)``, or None when it is absent or not an
+    integer, for a version or size check to compare and report."""
+    try:
+        return json_field(data, key, int)
+    except (KeyError, TypeError):
+        return None
+
+
 class BehaviourKind(str, Enum):
     """Everything the robot can do about an open medication cycle.
 

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .casekb import CaseBase
-from .governor import arbitrate, decide
+from .governor import AssessmentTable, arbitrate, decide
 from .model import (
     Behaviour,
     BehaviourKind,
@@ -37,6 +37,7 @@ from .model import (
     ModelError,
     ReminderState,
     json_field,
+    json_int_or_none,
 )
 
 SNOOZE_WINDOW = 3          # steps a granted snooze suspends the cycle
@@ -113,7 +114,7 @@ class Scenario:
     def from_dict(cls, data: dict, source: str = "<dict>") -> "Scenario":
         if not isinstance(data, dict):
             raise ScenarioError(f"{source}: scenario must be an object")
-        if data.get("format_version") != SCENARIO_FORMAT_VERSION:
+        if json_int_or_none(data, "format_version") != SCENARIO_FORMAT_VERSION:
             raise ScenarioError(
                 f"{source}: unsupported format_version "
                 f"{data.get('format_version')!r}"
@@ -320,8 +321,13 @@ def run_episode(
     profile: CharacterProfile,
     kb: CaseBase,
     risk_mode: str = "literal",
+    assessments: Optional[AssessmentTable] = None,
 ) -> EpisodeLog:
-    """Run one deterministic episode and return its full log."""
+    """Run one deterministic episode and return its full log.
+
+    ``assessments`` is passed to every ``decide``: a command running
+    many episodes on one case base may share one table across them.
+    """
     resident = Resident(scenario.resident)
     robot = RobotState(cycle_d=scenario.missed_doses)
     log = EpisodeLog(
@@ -401,7 +407,9 @@ def run_episode(
                 else 0,
                 step=step,
             )
-            recommendation = decide(ctx, profile, kb, risk_mode=risk_mode)
+            recommendation = decide(
+                ctx, profile, kb, risk_mode=risk_mode, assessments=assessments
+            )
             chosen = arbitrate(
                 recommendation,
                 ctx.last_instruction if ctx.instruction_pending else None,

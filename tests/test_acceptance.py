@@ -538,15 +538,27 @@ def test_c10_runs_are_byte_identical_and_replayable(seed_kb, profiles):
 GRID_LOGS_SHA256 = "9f4f379243c72b02804a6e0d1b5adc7b56e5e8e7abf5af0ffff194bede2953bb"
 
 
-def test_c10_grid_logs_match_their_pinned_digest(seed_kb, profiles):
+def _grid_logs_digest(seed_kb, profiles, shared_table):
+    """sha256 of the 48 grid logs; with ``shared_table`` the 24 episodes
+    of each risk mode decide through one assessment table."""
     digest = hashlib.sha256()
     for mode in RISK_MODES:
+        assessments = {} if shared_table else None
         for case in CASE_ORDER:
             scenario = _resolve_scenario(case)
             for name in PROFILE_ORDER:
-                log = run_episode(scenario, profiles[name], seed_kb, risk_mode=mode)
+                log = run_episode(scenario, profiles[name], seed_kb, risk_mode=mode,
+                                  assessments=assessments)
                 digest.update(log.to_jsonl().encode("utf-8"))
-    assert digest.hexdigest() == GRID_LOGS_SHA256
+    return digest.hexdigest()
+
+
+def test_c10_grid_logs_match_their_pinned_digest(seed_kb, profiles):
+    assert _grid_logs_digest(seed_kb, profiles, shared_table=False) == GRID_LOGS_SHA256
+
+
+def test_c10_grid_logs_through_a_shared_table_match_the_pinned_digest(seed_kb, profiles):
+    assert _grid_logs_digest(seed_kb, profiles, shared_table=True) == GRID_LOGS_SHA256
 
 
 # ----------------------------------------------------------------------

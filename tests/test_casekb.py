@@ -426,10 +426,11 @@ class TestPersistence:
         return target, case_line
 
     def test_unsupported_format_version(self, tmp_path):
-        target, case_line = self._write_with_header(
-            tmp_path, [], lambda h: h.update(format_version=99))
-        with pytest.raises(KBError, match="format_version"):
-            CaseBase.load(target)
+        for version in (99, True, 1.0):
+            target, case_line = self._write_with_header(
+                tmp_path, [], lambda h: h.update(format_version=version))
+            with pytest.raises(KBError, match="format_version"):
+                CaseBase.load(target)
 
     def test_foreign_feature_manifest(self, tmp_path):
         target, _ = self._write_with_header(
@@ -438,10 +439,11 @@ class TestPersistence:
             CaseBase.load(target)
 
     def test_wrong_dimension(self, tmp_path):
-        target, _ = self._write_with_header(
-            tmp_path, [], lambda h: h.update(dimension=7))
-        with pytest.raises(KBError, match="dimension"):
-            CaseBase.load(target)
+        for dimension in (7, 25.0):
+            target, _ = self._write_with_header(
+                tmp_path, [], lambda h: h.update(dimension=dimension))
+            with pytest.raises(KBError, match="dimension"):
+                CaseBase.load(target)
 
     def test_invalid_json_reports_the_line(self, tmp_path):
         target, _ = self._write_with_header(tmp_path, ["{not json"])

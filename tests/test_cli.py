@@ -432,7 +432,8 @@ class TestCalibrationSearch:
         kb, scenarios, points, logs, columns = cached
         monkeypatch.setattr(
             cli, "run_episode",
-            lambda scenario, profile, kb, risk_mode: logs[scenario.name, profile])
+            lambda scenario, profile, kb, risk_mode, assessments=None:
+            logs[scenario.name, profile])
         classes = sorted({cls for c in columns for cls in c.values()})
         rng = random.Random(7)
         targets = [{case: rng.choice(classes) for case in CASE_ORDER}
@@ -461,14 +462,14 @@ class TestValidate:
         ("wellbeing", 30),
         ("risk_propensity", True),
         ("risk_propensity", "1"),
-    ], ids=["out-of-range", "bool-trait", "string-trait"])
+        ("format_version", 2.0),
+    ], ids=["out-of-range", "bool-trait", "string-trait", "float-version"])
     def test_rejects_a_broken_profiles_file(self, tmp_path, field, value):
         entry = {"wellbeing": 3, "autonomy": 7, "risk_propensity": 1}
-        entry[field] = value
+        data = {"format_version": 2, "profiles": {"A": entry}}
+        (data if field == "format_version" else entry)[field] = value
         broken = tmp_path / "profiles.json"
-        broken.write_text(json.dumps({"format_version": 2, "profiles": {
-            "A": entry,
-        }}), encoding="utf-8")
+        broken.write_text(json.dumps(data), encoding="utf-8")
         assert main(["validate", "--profiles", str(broken)]) == EXIT_INVALID
 
     def test_rejects_a_version_1_profiles_file(self, tmp_path, caplog):

@@ -3,6 +3,7 @@
 import pytest
 
 from rulebend import evaluator
+from rulebend.casekb import CaseBase
 from rulebend.governor import (
     ARBITRATION_PRIORITY,
     GovernorError,
@@ -170,6 +171,54 @@ class TestDecide:
         assert len(calls) == 1
         risk = evaluator.situation_risk(breach_context()).risk
         assert all(e.evaluation.risk == risk for e in rec.blackboard.entries)
+
+
+class TestAssessmentTable:
+    @staticmethod
+    def contexts():
+        return (
+            breach_context(),
+            breach_context(epsilon_m=2, follow_ups=3, snoozes=2, step=19),
+            pending_context(Instruction.SNOOZE),
+            ctx_with(),
+        )
+
+    def test_assesses_each_context_once_across_profiles(
+        self, seed_kb, profiles, monkeypatch
+    ):
+        risk_calls, retrieve_calls = [], []
+        real_risk, real_retrieve = evaluator.behaviour_risk, CaseBase.retrieve
+
+        def counted_risk(*args, **kwargs):
+            risk_calls.append(args)
+            return real_risk(*args, **kwargs)
+
+        def counted_retrieve(kb, *args, **kwargs):
+            retrieve_calls.append(args)
+            return real_retrieve(kb, *args, **kwargs)
+
+        monkeypatch.setattr(evaluator, "behaviour_risk", counted_risk)
+        monkeypatch.setattr(CaseBase, "retrieve", counted_retrieve)
+        contexts = self.contexts()
+        table = {}
+        shared = [decide(ctx, profile, seed_kb, assessments=table)
+                  for profile in profiles.values() for ctx in contexts]
+        assert len(risk_calls) == len(contexts)
+        assert len(retrieve_calls) == sum(
+            len(candidate_behaviours(ctx)) for ctx in contexts)
+        assert len(table) == len(contexts)
+        # sharing changes what is computed, never what is recommended
+        assert shared == [decide(ctx, profile, seed_kb)
+                          for profile in profiles.values() for ctx in contexts]
+
+    def test_a_table_keeps_the_risk_modes_apart(self, seed_kb, profiles):
+        table = {}
+        for ctx in self.contexts():
+            literal = decide(ctx, profiles["A"], seed_kb, "literal", table)
+            harm = decide(ctx, profiles["A"], seed_kb, "harm", table)
+            assert harm == decide(ctx, profiles["A"], seed_kb, "harm")
+            assert harm != literal
+        assert len(table) == 2 * len(self.contexts())
 
 
 class TestArbitrate:

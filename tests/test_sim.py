@@ -270,12 +270,13 @@ class TestScenarioIO:
 
     def test_unsupported_format_version(self, tmp_path):
         bad = tmp_path / "v9.json"
-        bad.write_text(json.dumps({
-            "format_version": 9, "name": "x", "epsilon_m": 1,
-            "missed_doses": 0.0,
-        }), encoding="utf-8")
-        with pytest.raises(ScenarioError, match="format_version"):
-            Scenario.from_file(bad)
+        for version in (9, True, 1.0):
+            bad.write_text(json.dumps({
+                "format_version": version, "name": "x", "epsilon_m": 1,
+                "missed_doses": 0.0,
+            }), encoding="utf-8")
+            with pytest.raises(ScenarioError, match="format_version"):
+                Scenario.from_file(bad)
 
     def test_epsilon_out_of_range(self):
         with pytest.raises(ScenarioError):
