@@ -47,7 +47,6 @@ from .model import (
     SIMULATED_KINDS,
     VALUE_TAGS,
     json_field,
-    json_int_or_none,
 )
 
 FORMAT_VERSION = 1
@@ -422,8 +421,7 @@ class CaseBase:
         ]
         if not raw_lines:
             raise KBError(f"case base {path} is empty (missing header)")
-        header = _parse_json(raw_lines[0], path, 1)
-        _check_header(header, path)
+        _check_header(_parse_json(raw_lines[0], path, 1), path)
         cases = []
         for lineno, line in enumerate(raw_lines[1:], start=2):
             record = _parse_json(line, path, lineno)
@@ -438,7 +436,7 @@ def _header() -> Dict[str, object]:
         "record_type": "header",
         "format_version": FORMAT_VERSION,
         "dimension": DIMENSION,
-        "feature_names": list(FEATURE_NAMES),
+        "feature_names": FEATURE_NAMES,
         "neighbours": DEFAULT_NEIGHBOURS,
         "near_match_radius": NEAR_MATCH_RADIUS,
         "near_match_weight": NEAR_MATCH_WEIGHT,
@@ -456,53 +454,38 @@ def _parse_json(line: str, path: Path, lineno: int) -> Dict[str, object]:
 
 
 def _check_header(header: Dict[str, object], path: Path) -> None:
+    """Require every field ``_header`` writes, equal to this build's value:
+    a base written for another layout, k or vote weighting is refused
+    rather than read under this build's."""
     if header.get("record_type") != "header":
         raise KBError(f"{path}: first record must be the header")
-    if json_int_or_none(header, "format_version") != FORMAT_VERSION:
-        raise KBError(
-            f"{path}: unsupported format_version {header.get('format_version')!r}; "
-            f"this build reads version {FORMAT_VERSION}"
-        )
-    if header.get("feature_names") != list(FEATURE_NAMES):
-        raise KBError(f"{path}: feature manifest does not match this build")
-    if json_int_or_none(header, "dimension") != DIMENSION:
-        raise KBError(f"{path}: header dimension does not match this build")
-
-
-_REQUIRED_CASE_KEYS = {
-    "case_id",
-    "epsilon_m",
-    "missed_doses",
-    "follow_ups",
-    "reminder_state",
-    "acknowledged_without_taking",
-    "behaviour",
-    "autonomy_utility",
-    "wellbeing_utility",
-    "acceptability",
-    "intention",
-}
+    for key, want in _header().items():
+        try:
+            got = json_field(header, key, [str] if type(want) is tuple else type(want))
+            if got != want:
+                raise ValueError(f"{key} is {got!r}, this build's is {want!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise KBError(
+                f"{path}: header does not match this build's case-base manifest ({exc})"
+            ) from exc
 
 
 def _case_from_record(record: Dict[str, object], path: Path, lineno: int) -> Case:
-    missing = _REQUIRED_CASE_KEYS - record.keys()
-    if missing:
-        raise KBError(f"{path}:{lineno}: case missing keys {sorted(missing)}")
     try:
         return Case(
-            case_id=str(record["case_id"]),
+            case_id=json_field(record, "case_id", str),
             epsilon_m=json_field(record, "epsilon_m", int),
             missed_doses=json_field(record, "missed_doses", float),
             follow_ups=json_field(record, "follow_ups", int),
-            reminder_state=ReminderState(record["reminder_state"]),
+            reminder_state=json_field(record, "reminder_state", ReminderState),
             acknowledged_without_taking=json_field(
                 record, "acknowledged_without_taking", bool
             ),
-            behaviour=BehaviourKind(record["behaviour"]),
+            behaviour=json_field(record, "behaviour", BehaviourKind),
             autonomy_utility=json_field(record, "autonomy_utility", float),
             wellbeing_utility=json_field(record, "wellbeing_utility", float),
             acceptability=json_field(record, "acceptability", float),
-            intention=tuple(record["intention"]),
+            intention=json_field(record, "intention", [str]),
         )
-    except (KBError, ValueError, TypeError) as exc:
+    except (KBError, KeyError, ValueError, TypeError) as exc:
         raise KBError(f"{path}:{lineno}: invalid case record ({exc})") from exc

@@ -36,7 +36,8 @@ from .model import (
     ProfileError,
     ReminderState,
     json_field,
-    json_int_or_none,
+    json_optional,
+    read_json_object,
     validate_profile,
 )
 from .rules import evaluate_rules
@@ -98,22 +99,14 @@ def _packaged(name: str) -> Path:
 
 def load_profiles(path: Path | str) -> Dict[str, CharacterProfile]:
     """Read a profiles file into validated CharacterProfile objects."""
-    path = Path(path)
-    if not path.exists():
-        raise ProfileError(f"profiles file not found: {path}")
+    data = read_json_object(path, "profiles", ProfileError)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ProfileError(f"{path}: invalid JSON ({exc})") from exc
-    if (
-        not isinstance(data, dict)
-        or json_int_or_none(data, "format_version") != PROFILES_FORMAT_VERSION
-    ):
-        raise ProfileError(
-            f"{path}: expected format_version {PROFILES_FORMAT_VERSION}"
-        )
-    raw = data.get("profiles")
-    if not isinstance(raw, dict) or not raw:
+        if json_field(data, "format_version", int) != PROFILES_FORMAT_VERSION:
+            raise ValueError(f"expected format_version {PROFILES_FORMAT_VERSION}")
+        raw = json_field(data, "profiles", dict)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProfileError(f"{path}: invalid profiles file ({exc})") from exc
+    if not raw:
         raise ProfileError(f"{path}: no profiles defined")
     profiles = {}
     for name, entry in raw.items():
@@ -142,12 +135,9 @@ def _load_profile_set(path_arg: Optional[str]) -> Dict[str, CharacterProfile]:
 
 def _resolve_scenario(token: str) -> Scenario:
     """Accept a scenario file path or a packaged scenario name (case1..6)."""
-    path = Path(token)
-    if path.exists():
-        return Scenario.from_file(path)
-    if token in CASE_ORDER:
+    if token in CASE_ORDER and not Path(token).exists():
         return Scenario.from_file(_packaged(f"scenarios/{token}.json"))
-    raise ScenarioError(f"scenario file not found: {token}")
+    return Scenario.from_file(token)
 
 
 def _packaged_scenarios() -> Dict[str, Scenario]:
@@ -161,13 +151,11 @@ def _packaged_scenarios() -> Dict[str, Scenario]:
 def _load_expected(path_arg: Optional[str]) -> Dict[str, Dict[str, int]]:
     """A reference or target grid: an integer class for every cell."""
     path = Path(path_arg) if path_arg else _packaged("expected_matrix.json")
-    if not path.exists():
-        raise ModelError(f"reference grid not found: {path}")
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = read_json_object(path, "reference grid", ModelError)
     try:
-        if not isinstance(data, dict) or json_field(data, "format_version", int) != 1:
+        if json_field(data, "format_version", int) != 1:
             raise ModelError(f"{path}: not a reference grid file")
-        grid = data["grid"]
+        grid = json_field(data, "grid", dict)
         return {
             case: {name: json_field(grid[case], name, int) for name in PROFILE_ORDER}
             for case in CASE_ORDER
@@ -476,10 +464,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _utility_override(data: dict, key: str) -> Optional[float]:
     """The query's explicit utility ``key``, or None when it is absent."""
-    if data.get(key) is None:
-        return None
-    value = json_field(data, key, float)
-    if not math.isfinite(value):
+    value = json_optional(data, key, float)
+    if value is not None and not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
     return value
 
@@ -492,16 +478,13 @@ def _query_from_spec(data: dict, kb: CaseBase) -> CaseOpinion:
     them, unless explicit autonomy_utility / wellbeing_utility overrides
     are present; an override must be a finite number.
     """
-    if not isinstance(data, dict):
-        raise ContextError("invalid query spec: expected a JSON object")
     try:
-        last = data.get("last_instruction")
         ctx = DecisionContext(
             epsilon_m=json_field(data, "epsilon_m", int),
             missed_doses=json_field(data, "missed_doses", float),
             follow_ups=json_field(data, "follow_ups", int),
-            reminder_state=ReminderState(data["reminder_state"]),
-            last_instruction=Instruction(last) if last else None,
+            reminder_state=json_field(data, "reminder_state", ReminderState),
+            last_instruction=json_optional(data, "last_instruction", Instruction),
             instruction_pending=json_field(data, "instruction_pending", bool, False),
             acknowledged_without_taking=json_field(
                 data, "acknowledged_without_taking", bool, False
@@ -510,10 +493,9 @@ def _query_from_spec(data: dict, kb: CaseBase) -> CaseOpinion:
             snooze_remaining=json_field(data, "snooze_remaining", int, 0),
             step=json_field(data, "step", int, 0),
         )
-        obeys = data.get("obeys")
         behaviour = Behaviour(
-            BehaviourKind(data["behaviour"]),
-            obeys=Instruction(obeys) if obeys else None,
+            json_field(data, "behaviour", BehaviourKind),
+            obeys=json_optional(data, "obeys", Instruction),
         )
         au = _utility_override(data, "autonomy_utility")
         w = _utility_override(data, "wellbeing_utility")
@@ -539,10 +521,7 @@ def cmd_kb_trace(args: argparse.Namespace) -> int:
     else:
         if not args.query:
             raise ContextError("kb-trace needs a query file or --seed-case")
-        path = Path(args.query)
-        if not path.exists():
-            raise ContextError(f"query file not found: {path}")
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = read_json_object(args.query, "query", ContextError)
         opinion = _query_from_spec(data, kb)
 
     print(f"{'case id':<28} {'distance':>12} {'weight':>10} {'label':>7}")

@@ -10,14 +10,18 @@ Semantics:
     Everything here is a plain immutable container.  No module in this
     file computes utilities, applies rules, or consults the case base;
     it only says what the data *is* and which combinations are legal,
-    down to the JSON types the file boundaries accept (``json_field``).
+    down to how every input file is read: ``read_json_object`` opens a
+    file and ``json_field`` / ``json_optional`` take each field with its
+    exact JSON kind.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import Enum, EnumMeta
+from pathlib import Path
 from typing import Optional, Tuple, List, Any
 
 # Value dimensions a decision can promote or damage.  Evaluation code
@@ -40,38 +44,77 @@ class ContextError(ModelError):
 
 
 _REQUIRED = object()
-_JSON_TYPE_NAMES = {bool: "boolean", int: "integer", float: "number"}
+_KIND_NAMES = {bool: "a JSON boolean", int: "a JSON integer", float: "a JSON number",
+               str: "a JSON string", dict: "an object"}
 
 
-def json_field(data: dict, key: str, kind: type, default: Any = _REQUIRED) -> Any:
+def json_field(data: dict, key: str, kind: Any, default: Any = _REQUIRED) -> Any:
     """``data[key]``, which must be a JSON value of exactly ``kind``.
 
-    ``kind`` is ``bool``, ``int`` or ``float``.  An int field rejects
-    ``true`` as it rejects ``1.9`` and ``"5"``, rather than coercing
-    them; a float field takes any JSON number, never a boolean or a
-    string, and returns it as a float.  Raises KeyError when a field
-    without a default is missing, TypeError on the wrong type and
-    ValueError on an integer beyond float range, for the boundary to
-    report as invalid input.
+    ``kind`` is ``bool``, ``int``, ``float``, ``str``, ``dict``, an Enum
+    (a JSON string naming a member's value) or ``[kind]`` (a JSON array
+    of that kind, returned as a tuple).  An int field rejects ``true`` as
+    it rejects ``1.9`` and ``"5"``, rather than coercing them; a float
+    field takes any JSON number and returns it as a float.  A null is
+    checked like any value; only an absent field gives ``default``, as
+    it is.  Raises KeyError when a field without a default is missing,
+    TypeError on the wrong kind (or when ``data`` is no object) and
+    ValueError on a string naming no member or an integer beyond float
+    range, for the boundary to report as invalid input.
     """
-    value = data[key] if default is _REQUIRED else data.get(key, default)
-    if type(value) not in ((int, float) if kind is float else (kind,)):
-        raise TypeError(
-            f"{key} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}"
-        )
     try:
+        value = data[key]
+    except KeyError:
+        if default is _REQUIRED:
+            raise
+        return default
+    # Most fields arrive as exactly their kind: answer those without a call.
+    if type(value) is kind:
+        return value
+    return _json_value(value, key, kind)
+
+
+def _json_value(value: Any, key: str, kind: Any) -> Any:
+    """``json_field``'s answer for a value that is not exactly ``kind``."""
+    if isinstance(kind, EnumMeta):
+        if type(value) is not str:
+            raise TypeError(f"{key} must be a JSON string, got {value!r}")
         return kind(value)
-    except OverflowError as exc:
-        raise ValueError(f"{key} is beyond float range") from exc
+    if type(kind) is list:
+        if type(value) is not list:
+            raise TypeError(f"{key} must be a JSON array, got {value!r}")
+        (item,) = kind
+        return tuple([v if type(v) is item else _json_value(v, key, item) for v in value])
+    if kind is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ValueError(f"{key} is beyond float range") from exc
+    raise TypeError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def json_int_or_none(data: dict, key: str) -> Optional[int]:
-    """``json_field(data, key, int)``, or None when it is absent or not an
-    integer, for a version or size check to compare and report."""
+def json_optional(data: dict, key: str, kind: Any) -> Any:
+    """``json_field(data, key, kind)``, or None when ``key`` is absent or
+    null: the form of a field whose absence means "not given"."""
+    return None if data.get(key) is None else json_field(data, key, kind)
+
+
+def read_json_object(path: Path | str, what: str, error: type) -> dict:
+    """The JSON object held by the ``what`` file at ``path``.
+
+    Raises ``error`` when the file is missing, is not JSON or holds
+    another JSON value than an object.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise error(f"{what} file not found: {path}")
     try:
-        return json_field(data, key, int)
-    except (KeyError, TypeError):
-        return None
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON ({exc})") from exc
+    if type(data) is not dict:
+        raise error(f"{path}: not a {what} file (expected a JSON object)")
+    return data
 
 
 class BehaviourKind(str, Enum):

@@ -37,7 +37,7 @@ from .model import (
     ModelError,
     ReminderState,
     json_field,
-    json_int_or_none,
+    read_json_object,
 )
 
 SNOOZE_WINDOW = 3          # steps a granted snooze suspends the cycle
@@ -101,43 +101,27 @@ class Scenario:
 
     @classmethod
     def from_file(cls, path: Path | str) -> "Scenario":
-        path = Path(path)
-        if not path.exists():
-            raise ScenarioError(f"scenario file not found: {path}")
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path}: invalid JSON ({exc})") from exc
+        data = read_json_object(path, "scenario", ScenarioError)
         return cls.from_dict(data, source=str(path))
 
     @classmethod
     def from_dict(cls, data: dict, source: str = "<dict>") -> "Scenario":
-        if not isinstance(data, dict):
-            raise ScenarioError(f"{source}: scenario must be an object")
-        if json_int_or_none(data, "format_version") != SCENARIO_FORMAT_VERSION:
-            raise ScenarioError(
-                f"{source}: unsupported format_version "
-                f"{data.get('format_version')!r}"
-            )
-        resident_data = data.get("resident", {})
-        if not isinstance(resident_data, dict):
-            raise ScenarioError(f"{source}: resident must be an object")
         try:
-            resident = ResidentConfig(
-                responses=tuple(
-                    Instruction(r) for r in resident_data.get(
-                        "responses", ["snooze", "acknowledge"]
-                    )
-                ),
-                takes_medication=json_field(
-                    resident_data, "takes_medication", bool, False
-                ),
-            )
+            version = json_field(data, "format_version", int)
+            if version != SCENARIO_FORMAT_VERSION:
+                raise ValueError(f"unsupported format_version {version!r}")
+            resident = json_field(data, "resident", dict, {})
             return cls(
-                name=str(data["name"]),
+                name=json_field(data, "name", str),
                 epsilon_m=json_field(data, "epsilon_m", int),
                 missed_doses=json_field(data, "missed_doses", float),
-                resident=resident,
+                resident=ResidentConfig(
+                    # an absent field keeps the dataclass default
+                    responses=json_field(
+                        resident, "responses", [Instruction], ResidentConfig.responses
+                    ),
+                    takes_medication=json_field(resident, "takes_medication", bool, False),
+                ),
                 max_steps=json_field(data, "max_steps", int, MAX_STEPS),
             )
         except (KeyError, ValueError, TypeError) as exc:

@@ -7,7 +7,6 @@ frozen full-precision constants recorded from the oracle runs.
 """
 
 import dataclasses
-import hashlib
 import json
 import random
 import time
@@ -37,7 +36,6 @@ from rulebend.model import (
 )
 from rulebend.sim import Scenario, ResidentConfig, Terminal, run_episode
 from rulebend.utility import (
-    RISK_MODES,
     UTILITY_GRID,
     autonomy_utility,
     behaviour_risk,
@@ -52,6 +50,7 @@ from rulebend.utility import (
 )
 
 from conftest import breach_context
+from grid_digest import GRID_LOGS_SHA256, grid_logs_digest
 
 
 # ----------------------------------------------------------------------
@@ -532,33 +531,12 @@ def test_c10_runs_are_byte_identical_and_replayable(seed_kb, profiles):
     assert _replay(harm, profiles) > 0
 
 
-#: sha256 of the 48 grid logs, concatenated in RISK_MODES x CASE_ORDER x
-#: PROFILE_ORDER order.  A change that alters any log byte must re-pin it
-#: on purpose.
-GRID_LOGS_SHA256 = "9f4f379243c72b02804a6e0d1b5adc7b56e5e8e7abf5af0ffff194bede2953bb"
-
-
-def _grid_logs_digest(seed_kb, profiles, shared_table):
-    """sha256 of the 48 grid logs; with ``shared_table`` the 24 episodes
-    of each risk mode decide through one assessment table."""
-    digest = hashlib.sha256()
-    for mode in RISK_MODES:
-        assessments = {} if shared_table else None
-        for case in CASE_ORDER:
-            scenario = _resolve_scenario(case)
-            for name in PROFILE_ORDER:
-                log = run_episode(scenario, profiles[name], seed_kb, risk_mode=mode,
-                                  assessments=assessments)
-                digest.update(log.to_jsonl().encode("utf-8"))
-    return digest.hexdigest()
-
-
 def test_c10_grid_logs_match_their_pinned_digest(seed_kb, profiles):
-    assert _grid_logs_digest(seed_kb, profiles, shared_table=False) == GRID_LOGS_SHA256
+    assert grid_logs_digest(seed_kb, profiles, shared_table=False) == GRID_LOGS_SHA256
 
 
 def test_c10_grid_logs_through_a_shared_table_match_the_pinned_digest(seed_kb, profiles):
-    assert _grid_logs_digest(seed_kb, profiles, shared_table=True) == GRID_LOGS_SHA256
+    assert grid_logs_digest(seed_kb, profiles, shared_table=True) == GRID_LOGS_SHA256
 
 
 # ----------------------------------------------------------------------

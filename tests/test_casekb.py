@@ -433,10 +433,16 @@ class TestPersistence:
                 CaseBase.load(target)
 
     def test_foreign_feature_manifest(self, tmp_path):
-        target, _ = self._write_with_header(
-            tmp_path, [], lambda h: h.update(feature_names=["x", "y"]))
-        with pytest.raises(KBError, match="manifest"):
-            CaseBase.load(target)
+        for mutate in (
+            lambda h: h.update(feature_names=["x", "y"]),
+            lambda h: h.update(neighbours=7),
+            lambda h: h.update(near_match_radius=0.5),
+            lambda h: h.update(near_match_weight="10"),
+            lambda h: h.pop("neighbours"),
+        ):
+            target, _ = self._write_with_header(tmp_path, [], mutate)
+            with pytest.raises(KBError, match="manifest"):
+                CaseBase.load(target)
 
     def test_wrong_dimension(self, tmp_path):
         for dimension in (7, 25.0):
@@ -463,6 +469,8 @@ class TestPersistence:
         ("epsilon_m", True),
         ("missed_doses", "0.0"),
         ("wellbeing_utility", True),
+        ("case_id", 7),
+        ("intention", {"autonomy": 1}),
     ])
     def test_bad_case_field_reports_the_line(self, tmp_path, field, value):
         probe = tmp_path / "probe.jsonl"

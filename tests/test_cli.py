@@ -124,10 +124,15 @@ class TestRun:
         ("max_steps", True, "max_steps must be a JSON integer"),
         ("max_steps", "5", "max_steps must be a JSON integer"),
         ("max_steps", 30, "max_steps must be in 1..29"),
+        ("name", None, "name must be a JSON string"),
+        ("name", 7, "name must be a JSON string"),
+        ("resident", {"responses": {"snooze": 1}},
+         "responses must be a JSON array"),
     ], ids=["inf-doses", "nan-doses", "string-doses", "bool-doses",
             "huge-doses", "list-resident", "string-flag",
             "float-epsilon", "bool-epsilon", "float-steps", "bool-steps",
-            "string-steps", "steps-past-horizon"])
+            "string-steps", "steps-past-horizon", "null-name", "number-name",
+            "object-responses"])
     def test_malformed_scenario_is_invalid_input(self, tmp_path, caplog,
                                                  field, value, message):
         spec = {"format_version": 1, "name": "bad", "epsilon_m": 1,
@@ -290,6 +295,9 @@ class TestKbTrace:
         ("missed_doses", True),
         ("autonomy_utility", "0.5"),
         ("wellbeing_utility", True),
+        ("last_instruction", False),
+        ("obeys", 0),
+        ("obeys", {}),
     ])
     def test_query_fields_must_have_their_json_type(self, tmp_path, caplog, capsys,
                                                     field, value):
