@@ -4,8 +4,9 @@ Commands:
   run        simulate one scenario with one character profile
   matrix     run the 6x4 scenario/profile grid and diff it against the
              packaged reference grid
-  calibrate  grid-search character trait triples that reproduce a target
-             grid column per profile
+  calibrate  find the character trait triples that reproduce a target
+             grid column per profile, by lookup on one trait-space atlas
+             per scenario (``rulebend.atlas``); no episode runs per point
   kb-trace   show the nearest precedents for a query
   validate   check data files without running anything
 
@@ -23,6 +24,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from .atlas import Atlas, build_atlas
 from .casekb import CaseBase, CaseOpinion, KBError
 from .governor import AssessmentTable
 from .model import (
@@ -46,6 +48,7 @@ from .sim import (
     ScenarioError,
     SignatureRegistry,
     behaviour_id,
+    class_id,
     run_episode,
 )
 from .utility import RISK_MODES, autonomy_utility, wellbeing_utility
@@ -352,55 +355,39 @@ def _constrained_points(name: str):
                     yield (w, a, r)
 
 
-def _profile_at(name: str, point: Tuple[int, int, int]) -> CharacterProfile:
-    w, a, r = point
-    return CharacterProfile(name, float(w), float(a), float(r))
-
-
 def _profile_entry(point: Tuple[int, int, int]) -> Dict[str, int]:
     return dict(zip(("wellbeing", "autonomy", "risk_propensity"), point))
 
 
-def _search(
-    kb: CaseBase,
-    scenarios: Dict[str, Scenario],
-    name: str,
-    risk_mode: str,
-    target: Dict[str, int],
-    assessments: Optional[AssessmentTable] = None,
-) -> Tuple[int, Tuple[int, int, int], Dict[str, int], int]:
-    """(matches, point, column, points tried) of the lexicographically
-    first constrained point of ``name`` with the most matching cases.
-
-    A point stops once matching every remaining case could not beat the
-    best; only a strictly better point replaces it, so its column is
-    always complete.  The search stops at the first full match.
-    Every episode decides through ``assessments``, the command's table.
-    """
-    best = (-1, None, {}, 0)
-    for tried, point in enumerate(_constrained_points(name), start=1):
-        profile = _profile_at(name, point)
+def _columns(atlases: Dict[str, Atlas], points):
+    """(point, column) for each point: its class per case in CASE_ORDER,
+    read off the atlases, with a fresh SignatureRegistry per point."""
+    for point in points:
         registry = SignatureRegistry()
-        matches = 0
-        column: Dict[str, int] = {}
-        for i, (case, scenario) in enumerate(scenarios.items()):
-            if matches + len(scenarios) - i <= best[0]:
-                break
-            episode = run_episode(
-                scenario, profile, kb, risk_mode=risk_mode, assessments=assessments
-            )
-            column[case] = behaviour_id(episode, registry)
-            if column[case] == target[case]:
-                matches += 1
+        yield point, {
+            case: class_id(atlas.signature(point), registry)
+            for case, atlas in atlases.items()
+        }
+
+
+def _pick(
+    columns, target: Dict[str, int]
+) -> Tuple[int, Tuple[int, int, int], Dict[str, int], int]:
+    """(matches, point, column, points tried) of the first (point, column)
+    with the most cases matching ``target``; it stops at the first full
+    match, whose position is "after N grid points"."""
+    best = (-1, None, {}, 0)
+    for tried, (point, column) in enumerate(columns, start=1):
+        matches = sum(column[case] == want for case, want in target.items())
         if matches > best[0]:
             best = (matches, point, column, tried)
-            if matches == len(scenarios):
+            if matches == len(target):
                 break
     return best
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    """One bounded search pass per profile (see README, "calibrate")."""
+    """Pick each profile's point off one atlas per scenario (see README, "calibrate")."""
     kb = _load_kb(args.kb)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -414,13 +401,14 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             log_lines.append(f"{name}: constraint-feasible default {point}")
     else:
         target_grid = _load_expected(args.target)
-        scenarios = _packaged_scenarios()
-        # profiles A..WR reach many of the same contexts: assess each once
-        assessments: AssessmentTable = {}
+        atlases = {
+            case: build_atlas(scenario, kb, args.risk_mode)
+            for case, scenario in _packaged_scenarios().items()
+        }
         for name in PROFILE_ORDER:
             target = {case: target_grid[case][name] for case in CASE_ORDER}
-            matches, point, column, tried = _search(
-                kb, scenarios, name, args.risk_mode, target, assessments
+            matches, point, column, tried = _pick(
+                _columns(atlases, _constrained_points(name)), target
             )
             if matches == len(CASE_ORDER):
                 log_lines.append(

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet, NamedTuple, Optional, Sequence
+from typing import FrozenSet, NamedTuple, Optional, Sequence, Tuple
 
 from .casekb import CaseOpinion
 from .model import (
@@ -189,52 +189,79 @@ class EvaluationResult:
 
 
 # ======================================================================
-# Gate helpers
+# Gates
 # ======================================================================
+# A contested candidate meets the character only through its gates.
+# Each gate reads one trait and holds one quantity, a utility or the
+# situation's risk, to a floor of that trait; ``evaluate`` walks them in
+# order and ``rulebend.atlas`` reads them to find where each answer
+# changes along its trait axis.
+
+#: The trait a risk gate reads; a value gate reads the trait named by
+#: its value tag (``CharacterProfile.wellbeing`` or ``.autonomy``).
+RISK_AXIS = "risk_propensity"
+
+GAIN_FLOOR = "gain"          # utility >= (10 - C)/10
+LOSS_FLOOR = "loss"          # utility >= (C - 10)/10
+RISK_CEILING = "risk"        # risk <= (exp(C/4.17) - 1)/10
 
 
-def _utility_for(tag: str, autonomy_utility: float, wellbeing_utility: float) -> float:
-    return wellbeing_utility if tag == WELLBEING else autonomy_utility
+class Gate(NamedTuple):
+    """One character gate: (trait axis, utility or risk, floor kind)."""
+
+    axis: str
+    quantity: float
+    floor: str
 
 
-def _bend_value_gates(
-    profile: CharacterProfile,
+def gate_floor(floor: str, trait: float) -> float:
+    """The threshold a gate of kind ``floor`` sets at trait value ``trait``."""
+    if floor == RISK_CEILING:
+        return risk_threshold(trait)
+    gain_floor, loss_floor = value_thresholds(trait)
+    return gain_floor if floor == GAIN_FLOOR else loss_floor
+
+
+def clears(gate: Gate, threshold: float) -> bool:
+    """Whether ``gate`` passes at a floor of ``threshold``.
+
+    Only a strict comparison fails, so a tie passes.
+    """
+    if gate.floor == RISK_CEILING:
+        return not gate.quantity > threshold
+    return not gate.quantity < threshold
+
+
+def contested_gates(
+    situation: SituationRisk,
+    verdict: RuleVerdict,
     opinion: CaseOpinion,
     autonomy_utility: float,
     wellbeing_utility: float,
-) -> Optional[str]:
-    """First value failing a bend, or None if all pass.
+) -> Tuple[Gate, ...]:
+    """A candidate's gates in evaluation order; () when it is uncontested.
 
-    Values the precedent stance serves must clear the gain floor;
-    every other value must stay above the loss floor.
+    In a bend, values the precedent stance serves must clear the gain
+    floor and every other value must stay above the loss floor.  In a
+    suppress, only the values the stance serves are checked, against
+    the loss floor.  The risk gate comes last in both.
     """
-    for tag in VALUE_TAGS:
-        gain_floor, loss_floor = value_thresholds(profile.weight_for(tag))
-        utility = _utility_for(tag, autonomy_utility, wellbeing_utility)
-        floor = gain_floor if tag in opinion.intentions else loss_floor
-        if utility < floor:
-            return tag
-    return None
-
-
-def _suppress_value_gates(
-    profile: CharacterProfile,
-    opinion: CaseOpinion,
-    autonomy_utility: float,
-    wellbeing_utility: float,
-) -> Optional[str]:
-    """First value failing a suppress, or None.
-
-    Only the values the adverse stance is oriented toward are checked,
-    against the loss floor.
-    """
-    for tag in VALUE_TAGS:
-        if tag not in opinion.intentions:
-            continue
-        _, loss_floor = value_thresholds(profile.weight_for(tag))
-        if _utility_for(tag, autonomy_utility, wellbeing_utility) < loss_floor:
-            return tag
-    return None
+    if verdict.permissible == opinion.acceptable:
+        return ()
+    utilities = {WELLBEING: wellbeing_utility, AUTONOMY: autonomy_utility}
+    intentions = opinion.intentions
+    if verdict.permissible:
+        values = tuple(
+            Gate(tag, utilities[tag], LOSS_FLOOR)
+            for tag in VALUE_TAGS
+            if tag in intentions
+        )
+    else:
+        values = tuple(
+            Gate(tag, utilities[tag], GAIN_FLOOR if tag in intentions else LOSS_FLOOR)
+            for tag in VALUE_TAGS
+        )
+    return values + (Gate(RISK_AXIS, situation.risk, RISK_CEILING),)
 
 
 # ======================================================================
@@ -287,28 +314,22 @@ def evaluate(
             0, Branch.NONCOMPLIANT_UNSUPPORTED, TEMPLATE_NONCOMPLIANT_UNSUPPORTED
         )
 
-    if broken:
-        # Bend: precedent supports acting against the rule book.
-        failed = _bend_value_gates(
-            profile, opinion, autonomy_utility, wellbeing_utility
-        )
-        if failed is not None:
-            return result(0, Branch.BEND_EVALUATED, TEMPLATE_BEND_VALUE, failed)
-        if risk > risk_threshold(profile.risk_propensity):
-            return result(0, Branch.BEND_EVALUATED, TEMPLATE_BEND_RISK)
-        return result(1, Branch.BEND_EVALUATED, TEMPLATE_BEND_ACCEPTED)
-
-    # Suppress: precedent opposes a rule-compliant action.
-    failed = _suppress_value_gates(
-        profile, opinion, autonomy_utility, wellbeing_utility
-    )
-    if failed is not None:
-        template = (
-            TEMPLATE_SUPPRESS_WELLBEING
-            if failed == WELLBEING
-            else TEMPLATE_SUPPRESS_AUTONOMY
-        )
-        return result(0, Branch.SUPPRESS_EVALUATED, template, failed)
-    if risk > risk_threshold(profile.risk_propensity):
-        return result(0, Branch.SUPPRESS_EVALUATED, TEMPLATE_SUPPRESS_RISK)
-    return result(1, Branch.SUPPRESS_EVALUATED, TEMPLATE_SUPPRESS_OVERRIDDEN)
+    branch = Branch.BEND_EVALUATED if broken else Branch.SUPPRESS_EVALUATED
+    for gate in contested_gates(
+        situation, verdict, opinion, autonomy_utility, wellbeing_utility
+    ):
+        if clears(gate, gate_floor(gate.floor, getattr(profile, gate.axis))):
+            continue
+        if gate.floor == RISK_CEILING:
+            template = TEMPLATE_BEND_RISK if broken else TEMPLATE_SUPPRESS_RISK
+            return result(0, branch, template)
+        if broken:
+            template = TEMPLATE_BEND_VALUE
+        elif gate.axis == WELLBEING:
+            template = TEMPLATE_SUPPRESS_WELLBEING
+        else:
+            template = TEMPLATE_SUPPRESS_AUTONOMY
+        return result(0, branch, template, gate.axis)
+    # a bend precedent supports, or a suppress the character overrides
+    template = TEMPLATE_BEND_ACCEPTED if broken else TEMPLATE_SUPPRESS_OVERRIDDEN
+    return result(1, branch, template)

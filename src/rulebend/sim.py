@@ -88,6 +88,8 @@ class Scenario:
     max_steps: int = MAX_STEPS
 
     def __post_init__(self) -> None:
+        if not self.name:
+            raise ScenarioError("scenario name must be non-empty")
         if self.epsilon_m not in (1, 2, 3):
             raise ScenarioError(f"epsilon_m must be 1..3, got {self.epsilon_m!r}")
         if not math.isfinite(self.missed_doses):
@@ -499,17 +501,21 @@ class SignatureRegistry:
         return synthetic
 
 
-def behaviour_id(log: EpisodeLog, registry: Optional[SignatureRegistry] = None) -> int:
-    """Classify a finished episode into a behaviour class.
+def class_id(signature: Tuple, registry: Optional[SignatureRegistry] = None) -> int:
+    """The behaviour class of an episode signature.
 
     Known signatures map to their canonical id 1..7; anything else gets
     a synthetic id >= 8 — stable within the given registry, or always 8
     when no registry is shared across calls.
     """
-    signature = log.signature()
     known = KNOWN_SIGNATURES.get(signature)
     if known is not None:
         return known
     if registry is None:
         return FIRST_SYNTHETIC_ID
     return registry.id_for(signature)
+
+
+def behaviour_id(log: EpisodeLog, registry: Optional[SignatureRegistry] = None) -> int:
+    """Classify a finished episode into a behaviour class (see ``class_id``)."""
+    return class_id(log.signature(), registry)

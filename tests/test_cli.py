@@ -15,6 +15,9 @@ from rulebend.cli import (
     _packaged,
     main,
 )
+from rulebend import sim
+from rulebend.atlas import Atlas, build_atlas
+from rulebend.model import CharacterProfile
 from rulebend.sim import SignatureRegistry, behaviour_id, run_episode
 
 PACKAGED_GRID = _packaged("expected_matrix.json")
@@ -126,13 +129,14 @@ class TestRun:
         ("max_steps", 30, "max_steps must be in 1..29"),
         ("name", None, "name must be a JSON string"),
         ("name", 7, "name must be a JSON string"),
+        ("name", "", "scenario name must be non-empty"),
         ("resident", {"responses": {"snooze": 1}},
          "responses must be a JSON array"),
     ], ids=["inf-doses", "nan-doses", "string-doses", "bool-doses",
             "huge-doses", "list-resident", "string-flag",
             "float-epsilon", "bool-epsilon", "float-steps", "bool-steps",
             "string-steps", "steps-past-horizon", "null-name", "number-name",
-            "object-responses"])
+            "empty-name", "object-responses"])
     def test_malformed_scenario_is_invalid_input(self, tmp_path, caplog,
                                                  field, value, message):
         spec = {"format_version": 1, "name": "bad", "epsilon_m": 1,
@@ -390,11 +394,12 @@ class TestCalibrate:
             episodes.append(args)
             return run_episode(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "run_episode", counted)
+        # one episode per atlas cell: 24/32/4/24/4/4 for case1..case6
+        monkeypatch.setattr(sim, "run_episode", counted)
         code = main(["calibrate", "--out", str(out),
                      "--target", str(target_path)])
         assert code == EXIT_MISMATCH
-        assert len(episodes) == 306
+        assert len(episodes) == 92
         stdout = capsys.readouterr().out
         assert "A: no trait triple in the constrained grid" in stdout
         assert "nearest miss" in stdout
@@ -403,29 +408,24 @@ class TestCalibrate:
         assert (out / "calibration_log.txt").exists()
 
 
-class TestCalibrationSearch:
-    """The bounded search against brute force over profile A's points."""
+class TestCalibrationPick:
+    """Profile A's columns off the atlases, and the pick, against brute force."""
 
     @pytest.fixture(scope="class")
-    def cached(self):
-        """Profile A's 110 points with every scenario's episode log."""
+    def brute(self):
+        """Profile A's 110 points with their columns from their own episodes."""
         kb = cli._load_kb(None)
         scenarios = cli._packaged_scenarios()
         points = list(cli._constrained_points("A"))
-        logs = {}
-        for point in points:
-            profile = cli._profile_at("A", point)
-            for scenario in scenarios.values():
-                logs[scenario.name, profile] = run_episode(scenario, profile, kb)
         columns = []
         for point in points:
             registry = SignatureRegistry()
-            profile = cli._profile_at("A", point)
+            profile = CharacterProfile("A", *map(float, point))
             columns.append({
-                case: behaviour_id(logs[case, profile], registry)
-                for case in CASE_ORDER
+                case: behaviour_id(run_episode(scenario, profile, kb), registry)
+                for case, scenario in scenarios.items()
             })
-        return kb, scenarios, points, logs, columns
+        return kb, scenarios, points, columns
 
     @staticmethod
     def brute_force(points, columns, target):
@@ -436,18 +436,36 @@ class TestCalibrationSearch:
         i = counts.index(max(counts))
         return counts[i], points[i], columns[i], i + 1
 
-    def test_search_agrees_with_brute_force(self, cached, monkeypatch):
-        kb, scenarios, points, logs, columns = cached
-        monkeypatch.setattr(
-            cli, "run_episode",
-            lambda scenario, profile, kb, risk_mode, assessments=None:
-            logs[scenario.name, profile])
+    def test_atlas_columns_match_the_episodes(self, brute):
+        kb, scenarios, points, columns = brute
+        atlases = {case: build_atlas(scenario, kb)
+                   for case, scenario in scenarios.items()}
+        assert list(cli._columns(atlases, points)) == list(zip(points, columns))
+
+    def test_columns_number_non_canonical_classes_per_point(self):
+        # the two non-canonical behaviours of case1 under literal
+        recorded = (((10, "follow_up"), (19, "follow_up"), (24, "record")),
+                    "recorded", ())
+        reported = (((10, "follow_up"), (19, "follow_up"), (24, "report")),
+                    "reported", ())
+        # one cut at C_w = 5: cell 0 is [0, 5], cell 1 is (5, 10]
+        split = Atlas(cuts=((5.0,), (), ()),
+                      cells={(0, 0, 0): recorded, (1, 0, 0): reported})
+        whole = Atlas(cuts=((), (), ()), cells={(0, 0, 0): reported})
+        atlases = {"case1": split, "case2": whole}
+        assert list(cli._columns(atlases, [(5, 0, 0), (6, 0, 0)])) == [
+            ((5, 0, 0), {"case1": 8, "case2": 9}),
+            ((6, 0, 0), {"case1": 8, "case2": 8}),
+        ]
+
+    def test_pick_agrees_with_brute_force(self, brute):
+        _, _, points, columns = brute
         classes = sorted({cls for c in columns for cls in c.values()})
         rng = random.Random(7)
         targets = [{case: rng.choice(classes) for case in CASE_ORDER}
                    for _ in range(200)] + columns
         for target in targets:
-            assert cli._search(kb, scenarios, "A", "literal", target) == \
+            assert cli._pick(zip(points, columns), target) == \
                 self.brute_force(points, columns, target), target
 
 

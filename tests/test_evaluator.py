@@ -4,8 +4,14 @@ import pytest
 
 from rulebend.casekb import CaseOpinion
 from rulebend.evaluator import (
+    GAIN_FLOOR,
+    LOSS_FLOOR,
+    RISK_AXIS,
+    RISK_CEILING,
     Branch,
     EvaluationResult,
+    Gate,
+    contested_gates,
     evaluate,
     render_explanation,
     situation_risk,
@@ -192,6 +198,36 @@ def test_suppress_overridden_when_everything_is_within_character():
     assert result.desirability == 1
     assert result.branch is Branch.SUPPRESS_EVALUATED
     assert result.template_id == 9
+
+
+# ----------------------------------------------------------------------
+# the gates as data
+# ----------------------------------------------------------------------
+
+
+def test_bend_gates_every_value_then_risk():
+    situation = situation_risk(breach_context())
+    assert contested_gates(situation, BREACH_OF_2, opinion(True, "autonomy"),
+                           0.4, -0.2) == (
+        Gate("wellbeing", -0.2, LOSS_FLOOR),
+        Gate("autonomy", 0.4, GAIN_FLOOR),
+        Gate(RISK_AXIS, situation.risk, RISK_CEILING),
+    )
+
+
+def test_suppress_gates_only_the_values_the_stance_serves():
+    situation = situation_risk(breach_context())
+    assert contested_gates(situation, PERMISSIBLE, opinion(False, "wellbeing"),
+                           0.4, -0.2) == (
+        Gate("wellbeing", -0.2, LOSS_FLOOR),
+        Gate(RISK_AXIS, situation.risk, RISK_CEILING),
+    )
+
+
+def test_uncontested_candidates_have_no_gates():
+    situation = situation_risk(breach_context())
+    assert contested_gates(situation, PERMISSIBLE, opinion(True), 0.0, 0.0) == ()
+    assert contested_gates(situation, BREACH_OF_2, opinion(False), 0.0, 0.0) == ()
 
 
 # ----------------------------------------------------------------------
