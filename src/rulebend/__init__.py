@@ -16,7 +16,6 @@ from .evaluator import (
 from .governor import (
     Assessment,
     Recommendation,
-    arbitrate,
     assess,
     candidate_behaviours,
     decide,
@@ -84,7 +83,6 @@ __all__ = [
     "SignatureRegistry",
     "Terminal",
     "TraceEntry",
-    "arbitrate",
     "assess",
     "autonomy_utility",
     "behaviour_id",

@@ -43,12 +43,7 @@ from . import sim
 from .casekb import CaseBase
 from .evaluator import Gate, clears, contested_gates, gate_floor
 from .governor import AssessmentTable
-from .model import CharacterProfile
-
-#: The trait axes of a point, in the order (C_w, C_au, C_rp).
-TRAIT_AXES = ("wellbeing", "autonomy", "risk_propensity")
-TRAIT_MIN = 0.0
-TRAIT_MAX = 10.0
+from .model import TRAIT_AXES, TRAIT_MAX, TRAIT_MIN, CharacterProfile
 
 Point = Tuple[float, float, float]
 Signature = Tuple

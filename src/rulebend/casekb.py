@@ -36,9 +36,10 @@ import json
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .model import (
+    EPSILON_CLASSES,
     Behaviour,
     BehaviourKind,
     DecisionContext,
@@ -51,7 +52,7 @@ from .model import (
 
 FORMAT_VERSION = 1
 
-#: Number of neighbours consulted unless the caller overrides it.
+#: Number of neighbours a vote consults; ``retrieve`` takes any k.
 DEFAULT_NEIGHBOURS = 3
 
 #: Distance at or below which a case counts as a near-exact precedent.
@@ -60,13 +61,12 @@ NEAR_MATCH_RADIUS = 0.1
 #: Weight given to near-exact precedents; farther cases weigh 1/distance.
 NEAR_MATCH_WEIGHT = 10.0
 
-_EPSILON_CLASSES = (1, 2, 3)
 _MISSED_BUCKETS = ("0", "1", "2", "3", "4plus")
 _FOLLOW_UP_BUCKETS = ("0", "1", "2", "3plus")
 _STATES = tuple(state.value for state in ReminderState)
 
 FEATURE_NAMES: Tuple[str, ...] = (
-    tuple(f"epsilon_{e}" for e in _EPSILON_CLASSES)
+    tuple(f"epsilon_{e}" for e in EPSILON_CLASSES)
     + tuple(f"missed_{b}" for b in _MISSED_BUCKETS)
     + tuple(f"follow_ups_{b}" for b in _FOLLOW_UP_BUCKETS)
     + tuple(f"state_{s}" for s in _STATES)
@@ -114,13 +114,13 @@ def feature_vector(
               (restraint is never proposed, so never judged).
     Ensures:  a DIMENSION-long tuple matching FEATURE_NAMES.
     """
-    if epsilon_m not in _EPSILON_CLASSES:
+    if epsilon_m not in EPSILON_CLASSES:
         raise KBError(f"epsilon_m must be 1..3, got {epsilon_m!r}")
     if behaviour not in SIMULATED_KINDS:
         raise KBError(f"behaviour {behaviour!r} is not case-base encodable")
     features = [0.0] * DIMENSION
-    features[_EPSILON_CLASSES.index(epsilon_m)] = 1.0
-    offset = len(_EPSILON_CLASSES)
+    features[EPSILON_CLASSES.index(epsilon_m)] = 1.0
+    offset = len(EPSILON_CLASSES)
     features[offset + _missed_bucket(missed_doses)] = 1.0
     offset += len(_MISSED_BUCKETS)
     features[offset + _follow_up_bucket(follow_ups)] = 1.0
@@ -323,7 +323,6 @@ class CaseBase:
         autonomy_utility: float,
         wellbeing_utility: float,
         verdict: RuleVerdict,
-        k: int = DEFAULT_NEIGHBOURS,
     ) -> CaseOpinion:
         """Precedent opinion on one candidate behaviour (see ``vote``).
 
@@ -350,12 +349,11 @@ class CaseBase:
             autonomy_utility,
             wellbeing_utility,
         )
-        return self.vote(query, k=k)
+        return self.vote(query)
 
-    def vote(
-        self, query: Sequence[float], k: int = DEFAULT_NEIGHBOURS
-    ) -> CaseOpinion:
-        """Weighted-vote opinion of the K nearest cases to a query vector.
+    def vote(self, query: Sequence[float]) -> CaseOpinion:
+        """Weighted-vote opinion of the DEFAULT_NEIGHBOURS nearest cases to
+        a query vector.
 
         The acceptability score is the weighted mean over neighbours;
         the query is acceptable when the score reaches 0.5.  The
@@ -364,7 +362,7 @@ class CaseBase:
 
         Requires: a non-empty case base.
         """
-        neighbours = self.retrieve(query, k=k)
+        neighbours = self.retrieve(query)
         weights = [case_weight(dist) for _, dist in neighbours]
         total = math.fsum(weights)
         score = math.fsum(

@@ -16,6 +16,7 @@ Exit codes: 0 success/match, 1 invalid input, 2 mismatch, 3 runtime failure.
 import argparse
 import csv
 import io
+import itertools
 import json
 import logging
 import math
@@ -37,10 +38,10 @@ from .model import (
     ModelError,
     ProfileError,
     ReminderState,
+    TRAIT_AXES,
     json_field,
     json_optional,
     read_json_object,
-    validate_profile,
 )
 from .rules import evaluate_rules
 from .sim import (
@@ -64,24 +65,16 @@ PROFILES_FORMAT_VERSION = 2
 PROFILE_ORDER = ("A", "AR", "ARW", "WR")
 CASE_ORDER = tuple(f"case{i}" for i in range(1, 7))
 
-#: qualitative trait constraints used by `calibrate`, per profile.  Each
-#: entry maps trait -> (lo, hi) inclusive; `extra` is a predicate over
-#: the (wellbeing, autonomy, risk) triple.
+#: qualitative trait constraints used by `calibrate`: per profile, the
+#: inclusive integer (lo, hi) of each trait in TRAIT_AXES order.
 CALIBRATION_CONSTRAINTS = {
-    "A": {
-        "ranges": {"wellbeing": (0, 10), "autonomy": (6, 10), "risk": (0, 1)},
-    },
-    "AR": {
-        "ranges": {"wellbeing": (0, 10), "autonomy": (6, 10), "risk": (6, 10)},
-    },
-    "ARW": {
-        "ranges": {"wellbeing": (3, 7), "autonomy": (3, 7), "risk": (3, 7)},
-        "predicate": lambda w, a, r: a > w,
-    },
-    "WR": {
-        "ranges": {"wellbeing": (6, 10), "autonomy": (0, 10), "risk": (0, 10)},
-    },
+    "A": ((0, 10), (6, 10), (0, 1)),
+    "AR": ((0, 10), (6, 10), (6, 10)),
+    "ARW": ((3, 7), (3, 7), (3, 7)),
+    "WR": ((6, 10), (0, 10), (0, 10)),
 }
+#: further constraints on a profile's (C_w, C_au, C_rp) points
+CALIBRATION_FILTERS = {"ARW": lambda w, a, r: a > w}
 
 # short action codes for the text timeline
 _TIMELINE_CODES = {
@@ -114,16 +107,11 @@ def load_profiles(path: Path | str) -> Dict[str, CharacterProfile]:
     profiles = {}
     for name, entry in raw.items():
         try:
-            profile = CharacterProfile(
-                name=name,
-                wellbeing=json_field(entry, "wellbeing", float),
-                autonomy=json_field(entry, "autonomy", float),
-                risk_propensity=json_field(entry, "risk_propensity", float),
+            profiles[name] = CharacterProfile(
+                name, *(json_field(entry, axis, float) for axis in TRAIT_AXES)
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ProfileError(f"{path}: profile {name!r} invalid ({exc})") from exc
-        validate_profile(profile)
-        profiles[name] = profile
     return profiles
 
 
@@ -343,20 +331,14 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _constrained_points(name: str):
-    spec = CALIBRATION_CONSTRAINTS[name]
-    lo_w, hi_w = spec["ranges"]["wellbeing"]
-    lo_a, hi_a = spec["ranges"]["autonomy"]
-    lo_r, hi_r = spec["ranges"]["risk"]
-    predicate = spec.get("predicate", lambda w, a, r: True)
-    for w in range(lo_w, hi_w + 1):
-        for a in range(lo_a, hi_a + 1):
-            for r in range(lo_r, hi_r + 1):
-                if predicate(w, a, r):
-                    yield (w, a, r)
+    """The integer points of ``name``'s constraints, lexicographically."""
+    keep = CALIBRATION_FILTERS.get(name, lambda w, a, r: True)
+    box = (range(lo, hi + 1) for lo, hi in CALIBRATION_CONSTRAINTS[name])
+    return (point for point in itertools.product(*box) if keep(*point))
 
 
 def _profile_entry(point: Tuple[int, int, int]) -> Dict[str, int]:
-    return dict(zip(("wellbeing", "autonomy", "risk_propensity"), point))
+    return dict(zip(TRAIT_AXES, point))
 
 
 def _columns(atlases: Dict[str, Atlas], points):

@@ -37,6 +37,7 @@ from typing import FrozenSet, NamedTuple, Optional, Sequence, Tuple
 from .casekb import CaseOpinion
 from .model import (
     AUTONOMY,
+    RISK_AXIS,
     VALUE_TAGS,
     WELLBEING,
     Behaviour,
@@ -197,17 +198,13 @@ class EvaluationResult:
 # order and ``rulebend.atlas`` reads them to find where each answer
 # changes along its trait axis.
 
-#: The trait a risk gate reads; a value gate reads the trait named by
-#: its value tag (``CharacterProfile.wellbeing`` or ``.autonomy``).
-RISK_AXIS = "risk_propensity"
-
 GAIN_FLOOR = "gain"          # utility >= (10 - C)/10
 LOSS_FLOOR = "loss"          # utility >= (C - 10)/10
 RISK_CEILING = "risk"        # risk <= (exp(C/4.17) - 1)/10
 
 
 class Gate(NamedTuple):
-    """One character gate: (trait axis, utility or risk, floor kind)."""
+    """One character gate: (a ``TRAIT_AXES`` name, utility or risk, floor kind)."""
 
     axis: str
     quantity: float
@@ -307,17 +304,18 @@ def evaluate(
         )
 
     broken = not verdict.permissible
-    if not broken and opinion.acceptable:
+    gates = contested_gates(
+        situation, verdict, opinion, autonomy_utility, wellbeing_utility
+    )
+    if not gates:
+        if broken:
+            return result(
+                0, Branch.NONCOMPLIANT_UNSUPPORTED, TEMPLATE_NONCOMPLIANT_UNSUPPORTED
+            )
         return result(1, Branch.COMPLIANT_SUPPORTED, TEMPLATE_COMPLIANT_SUPPORTED)
-    if broken and not opinion.acceptable:
-        return result(
-            0, Branch.NONCOMPLIANT_UNSUPPORTED, TEMPLATE_NONCOMPLIANT_UNSUPPORTED
-        )
 
     branch = Branch.BEND_EVALUATED if broken else Branch.SUPPRESS_EVALUATED
-    for gate in contested_gates(
-        situation, verdict, opinion, autonomy_utility, wellbeing_utility
-    ):
+    for gate in gates:
         if clears(gate, gate_floor(gate.floor, getattr(profile, gate.axis))):
             continue
         if gate.floor == RISK_CEILING:

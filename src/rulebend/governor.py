@@ -16,12 +16,13 @@ assessment table, a plain dict it passes to ``decide``, so each context
 is assessed once per command; a table belongs to one case base and one
 command and is never shared beyond it.
 
-Arbitration prefers the behaviour that carries out a pending resident
-instruction; among other desirable behaviours it escalates first
-(report over record over follow-up over reminders).  If nothing is
-desirable, the rule-compliant candidate with the best combined utility
-is recommended alone and flagged as a fallback, so the robot always has
-an action and the log shows the governor was overridden by necessity.
+While a resident instruction is pending, the behaviour that carries it
+out is the only candidate.  Among several desirable behaviours
+``Recommendation.chosen`` escalates first (report over record over
+follow-up over reminders).  If nothing is desirable, the rule-compliant
+candidate with the best combined utility is recommended alone and
+flagged as a fallback, so the robot always has an action and the log
+shows the governor was overridden by necessity.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .model import (
     Blackboard,
     BlackboardEntry,
     CharacterProfile,
-    ContextError,
     DecisionContext,
     GammaSpec,
     Instruction,
@@ -50,8 +50,8 @@ from .utility import autonomy_utility, wellbeing_utility
 #: How many follow-ups exhaust patience and expand the candidate set.
 EXPANSION_FOLLOW_UPS = 3
 
-#: Fixed arbitration priority among desirable behaviours that do not
-#: answer an instruction: escalate before settling before re-prompting.
+#: Fixed arbitration priority among desirable behaviours: escalate
+#: before settling before re-prompting.
 ARBITRATION_PRIORITY: Tuple[BehaviourKind, ...] = (
     BehaviourKind.REPORT,
     BehaviourKind.RECORD,
@@ -93,8 +93,6 @@ def candidate_behaviours(ctx: DecisionContext) -> Tuple[Behaviour, ...]:
     if ctx.snooze_remaining > 0:
         return (Behaviour(BehaviourKind.SNOOZE),)
     if ctx.instruction_pending:
-        if ctx.last_instruction is None:
-            raise ContextError("a pending instruction must name an instruction")
         return (_OBEY_BEHAVIOURS[ctx.last_instruction],)
     if ctx.acknowledged_without_taking or ctx.follow_ups >= EXPANSION_FOLLOW_UPS:
         return _ESCALATION_SET
@@ -113,6 +111,16 @@ class Recommendation:
 
     def is_fallback(self) -> bool:
         return self.fallback is not None
+
+    @property
+    def chosen(self) -> Behaviour:
+        """The single behaviour the robot executes: the fallback, or else
+        the desirable behaviour that comes first in ARBITRATION_PRIORITY."""
+        if self.fallback is not None:
+            return self.fallback
+        if not self.desirable:
+            raise GovernorError("empty recommendation cannot be arbitrated")
+        return min(self.desirable, key=lambda b: ARBITRATION_PRIORITY.index(b.kind))
 
 
 #: One assessed candidate: (behaviour, rule verdict, autonomy utility,
@@ -163,7 +171,7 @@ def judge(
     desirable the rule-compliant candidate with the highest combined
     utility is picked as fallback.
     """
-    blackboard = Blackboard(context=ctx, profile=profile)
+    blackboard = Blackboard(profile=profile)
     situation = assessment.situation
     for behaviour, verdict, au, w, spec, opinion in assessment.candidates:
         blackboard.post(
@@ -227,27 +235,3 @@ def decide(
     if assessment is None:
         assessment = assessments[key] = assess(ctx, kb, risk_mode)
     return judge(ctx, assessment, profile)
-
-
-def arbitrate(
-    recommendation: Recommendation,
-    pending_instruction: Optional[Instruction] = None,
-) -> Behaviour:
-    """Pick the single behaviour the robot executes.
-
-    A desirable behaviour obeying the pending instruction wins outright;
-    otherwise the fixed escalation-first priority applies.  A fallback
-    recommendation already names its single behaviour.
-    """
-    if recommendation.fallback is not None:
-        return recommendation.fallback
-    if not recommendation.desirable:
-        raise GovernorError("empty recommendation cannot be arbitrated")
-    if pending_instruction is not None:
-        for behaviour in recommendation.desirable:
-            if behaviour.obeys is pending_instruction:
-                return behaviour
-    return min(
-        recommendation.desirable,
-        key=lambda b: ARBITRATION_PRIORITY.index(b.kind),
-    )

@@ -22,13 +22,24 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum, EnumMeta
 from pathlib import Path
-from typing import Optional, Tuple, List, Any
+from typing import Any, List, Optional, Tuple
 
 # Value dimensions a decision can promote or damage.  Evaluation code
 # iterates them in this order (wellbeing first), so keep it stable.
 WELLBEING = "wellbeing"
 AUTONOMY = "autonomy"
 VALUE_TAGS: Tuple[str, str] = (WELLBEING, AUTONOMY)
+
+#: The character's traits in ``CharacterProfile`` field order (C_w, C_au,
+#: C_rp): a value gate reads the trait named by its value tag, a risk
+#: gate reads ``RISK_AXIS``.  Every trait lies on [TRAIT_MIN, TRAIT_MAX].
+RISK_AXIS = "risk_propensity"
+TRAIT_AXES: Tuple[str, str, str] = (WELLBEING, AUTONOMY, RISK_AXIS)
+TRAIT_MIN = 0.0
+TRAIT_MAX = 10.0
+
+#: The medicine impact classes a scenario, context or case can name.
+EPSILON_CLASSES: Tuple[int, ...] = (1, 2, 3)
 
 
 class ModelError(ValueError):
@@ -209,7 +220,8 @@ class GammaSpec:
 class CharacterProfile:
     """The tunable character: value preferences plus risk propensity.
 
-    All three weights live on the closed lattice [0, 10].
+    All three weights live on the closed lattice [0, 10]; a profile out
+    of range cannot be made (see ``validate_profile``).
     """
 
     name: str
@@ -217,12 +229,8 @@ class CharacterProfile:
     autonomy: float               # preference weight for resident autonomy
     risk_propensity: float        # appetite for risky outcomes
 
-    def weight_for(self, tag: str) -> float:
-        if tag == WELLBEING:
-            return self.wellbeing
-        if tag == AUTONOMY:
-            return self.autonomy
-        raise ProfileError(f"unknown value tag {tag!r}")
+    def __post_init__(self) -> None:
+        validate_profile(self)
 
 
 def validate_profile(profile: CharacterProfile) -> None:
@@ -230,21 +238,18 @@ def validate_profile(profile: CharacterProfile) -> None:
 
     Requires: nothing.
     Ensures:  returns None only when name is non-empty and each weight
-              lies in [0, 10].
+              is a number in [TRAIT_MIN, TRAIT_MAX] (never NaN or a bool).
     """
     if not isinstance(profile, CharacterProfile):
         raise ProfileError(f"not a CharacterProfile: {profile!r}")
     if not profile.name:
         raise ProfileError("profile name must be non-empty")
-    for label, value in (
-        ("wellbeing", profile.wellbeing),
-        ("autonomy", profile.autonomy),
-        ("risk_propensity", profile.risk_propensity),
-    ):
+    for axis in TRAIT_AXES:
+        value = getattr(profile, axis)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ProfileError(f"{label} must be numeric, got {value!r}")
-        if not (0.0 <= float(value) <= 10.0):
-            raise ProfileError(f"{label}={value!r} outside [0, 10]")
+            raise ProfileError(f"{axis} must be numeric, got {value!r}")
+        if not (TRAIT_MIN <= value <= TRAIT_MAX):
+            raise ProfileError(f"{axis}={value!r} outside [{TRAIT_MIN:g}, {TRAIT_MAX:g}]")
 
 
 @dataclass(frozen=True)
@@ -272,7 +277,7 @@ class DecisionContext:
     step: int
 
     def __post_init__(self) -> None:
-        if self.epsilon_m not in (1, 2, 3):
+        if self.epsilon_m not in EPSILON_CLASSES:
             raise ContextError(f"epsilon_m must be 1..3, got {self.epsilon_m!r}")
         if not math.isfinite(self.missed_doses):
             raise ContextError(f"missed_doses must be finite, got {self.missed_doses!r}")
@@ -312,17 +317,17 @@ class RuleVerdict:
 class BlackboardEntry:
     """Everything the pipeline learned about one candidate behaviour.
 
-    ``opinion`` and ``evaluation`` are filled by later stages; their
-    concrete types live in the casekb and evaluator modules.
+    ``opinion`` and ``evaluation`` are a ``casekb.CaseOpinion`` and an
+    ``evaluator.EvaluationResult``; the governor fills every field at once.
     """
 
     behaviour: Behaviour
-    verdict: Optional[RuleVerdict] = None
-    autonomy_utility: Optional[float] = None
-    wellbeing_utility: Optional[float] = None
-    wellbeing_spec: Optional[GammaSpec] = None
-    opinion: Optional[Any] = None
-    evaluation: Optional[Any] = None
+    verdict: RuleVerdict
+    autonomy_utility: float
+    wellbeing_utility: float
+    wellbeing_spec: GammaSpec
+    opinion: Any
+    evaluation: Any
 
 
 @dataclass
@@ -333,7 +338,6 @@ class Blackboard:
     governor fixes to the canonical behaviour order.
     """
 
-    context: DecisionContext
     profile: CharacterProfile
     entries: List[BlackboardEntry] = field(default_factory=list)
 

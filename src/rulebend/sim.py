@@ -27,8 +27,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .casekb import CaseBase
-from .governor import AssessmentTable, arbitrate, decide
+from .governor import AssessmentTable, decide
 from .model import (
+    EPSILON_CLASSES,
     Behaviour,
     BehaviourKind,
     CharacterProfile,
@@ -90,7 +91,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ScenarioError("scenario name must be non-empty")
-        if self.epsilon_m not in (1, 2, 3):
+        if self.epsilon_m not in EPSILON_CLASSES:
             raise ScenarioError(f"epsilon_m must be 1..3, got {self.epsilon_m!r}")
         if not math.isfinite(self.missed_doses):
             raise ScenarioError(f"missed_doses must be finite, got {self.missed_doses!r}")
@@ -396,10 +397,7 @@ def run_episode(
             recommendation = decide(
                 ctx, profile, kb, risk_mode=risk_mode, assessments=assessments
             )
-            chosen = arbitrate(
-                recommendation,
-                ctx.last_instruction if ctx.instruction_pending else None,
-            )
+            chosen = recommendation.chosen
             record["decision"] = _decision_record(ctx, recommendation, chosen)
             record["robot_action"] = chosen.kind.value
             _apply(robot, resident, chosen, log, step)

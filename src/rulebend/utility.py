@@ -55,6 +55,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .model import (
     AUTONOMY,
+    EPSILON_CLASSES,
+    TRAIT_MAX,
+    TRAIT_MIN,
     WELLBEING,
     Behaviour,
     BehaviourKind,
@@ -93,7 +96,7 @@ RISK_MODES = ("harm", "literal")
 
 def shape_param(epsilon_m: int) -> float:
     """Density shape from the medicine impact class."""
-    if epsilon_m not in (1, 2, 3):
+    if epsilon_m not in EPSILON_CLASSES:
         raise ValueError(f"epsilon_m must be 1..3, got {epsilon_m!r}")
     e = float(epsilon_m)
     return 1.325 * e * e - 9.475 * e + 18.15
@@ -297,7 +300,7 @@ def behaviour_risk(spec: GammaSpec, mode: str = "harm") -> float:
 
 def risk_threshold(risk_propensity: float) -> float:
     """Maximum risk a character with the given propensity accepts."""
-    if not (0.0 <= risk_propensity <= 10.0):
+    if not (TRAIT_MIN <= risk_propensity <= TRAIT_MAX):
         raise ValueError(f"risk propensity outside [0, 10]: {risk_propensity!r}")
     return (math.exp(risk_propensity / 4.17) - 1.0) / 10.0
 
@@ -309,7 +312,7 @@ def value_thresholds(preference: float) -> Tuple[float, float]:
     (10 - C)/10; one merely touching it must stay above the loss floor
     (C - 10)/10.  Both are exact float64 tenths.
     """
-    if not (0.0 <= preference <= 10.0):
+    if not (TRAIT_MIN <= preference <= TRAIT_MAX):
         raise ValueError(f"preference outside [0, 10]: {preference!r}")
     return (10.0 - preference) / 10.0, (preference - 10.0) / 10.0
 

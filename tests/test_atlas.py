@@ -6,10 +6,10 @@ import random
 import pytest
 
 from rulebend import atlas as atlas_module
-from rulebend.atlas import TRAIT_AXES, AtlasError, build_atlas, gate_cut
+from rulebend.atlas import AtlasError, build_atlas, gate_cut
 from rulebend.cli import CASE_ORDER, _packaged_scenarios
-from rulebend.evaluator import GAIN_FLOOR, LOSS_FLOOR, RISK_AXIS, RISK_CEILING, Gate
-from rulebend.model import CharacterProfile
+from rulebend.evaluator import GAIN_FLOOR, LOSS_FLOOR, RISK_CEILING, Gate
+from rulebend.model import RISK_AXIS, TRAIT_AXES, CharacterProfile
 from rulebend.sim import run_episode
 from rulebend.utility import RISK_MODES
 

@@ -1,5 +1,6 @@
 """Command-line harness: exit codes, artefacts, and messages."""
 
+import itertools
 import json
 import random
 
@@ -436,6 +437,25 @@ class TestCalibrationPick:
         i = counts.index(max(counts))
         return counts[i], points[i], columns[i], i + 1
 
+    @pytest.mark.parametrize("name, count, first, last", [
+        ("A", 110, (0, 6, 0), (10, 10, 1)),
+        ("AR", 275, (0, 6, 6), (10, 10, 10)),
+        ("ARW", 50, (3, 4, 3), (6, 7, 7)),
+        ("WR", 605, (6, 0, 0), (10, 10, 10)),
+    ])
+    def test_constrained_points_walk_each_box_lexicographically(
+            self, name, count, first, last):
+        points = list(cli._constrained_points(name))
+        assert (len(points), points[0], points[-1]) == (count, first, last)
+        # the walk order is what "after N grid points" counts
+        assert points == sorted(points)
+        box = cli.CALIBRATION_CONSTRAINTS[name]
+        inside = list(itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
+        if name == "ARW":
+            assert points == [(w, a, r) for w, a, r in inside if a > w]
+        else:
+            assert points == inside
+
     def test_atlas_columns_match_the_episodes(self, brute):
         kb, scenarios, points, columns = brute
         atlases = {case: build_atlas(scenario, kb)
@@ -489,7 +509,12 @@ class TestValidate:
         ("risk_propensity", True),
         ("risk_propensity", "1"),
         ("format_version", 2.0),
-    ], ids=["out-of-range", "bool-trait", "string-trait", "float-version"])
+        ("wellbeing", 10.5),
+        ("autonomy", float("nan")),
+        ("risk_propensity", float("inf")),
+        ("wellbeing", float("-inf")),
+    ], ids=["out-of-range", "bool-trait", "string-trait", "float-version",
+            "ten-and-a-half", "nan-trait", "inf-trait", "minus-inf-trait"])
     def test_rejects_a_broken_profiles_file(self, tmp_path, field, value):
         entry = {"wellbeing": 3, "autonomy": 7, "risk_propensity": 1}
         data = {"format_version": 2, "profiles": {"A": entry}}
@@ -497,6 +522,14 @@ class TestValidate:
         broken = tmp_path / "profiles.json"
         broken.write_text(json.dumps(data), encoding="utf-8")
         assert main(["validate", "--profiles", str(broken)]) == EXIT_INVALID
+
+    def test_rejects_a_profile_with_an_empty_name(self, tmp_path, caplog):
+        entry = {"wellbeing": 3, "autonomy": 7, "risk_propensity": 1}
+        broken = tmp_path / "profiles.json"
+        broken.write_text(json.dumps({"format_version": 2, "profiles": {"": entry}}),
+                          encoding="utf-8")
+        assert main(["validate", "--profiles", str(broken)]) == EXIT_INVALID
+        assert "profile name must be non-empty" in caplog.text
 
     def test_rejects_a_version_1_profiles_file(self, tmp_path, caplog):
         old = tmp_path / "profiles.json"

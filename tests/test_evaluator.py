@@ -6,7 +6,6 @@ from rulebend.casekb import CaseOpinion
 from rulebend.evaluator import (
     GAIN_FLOOR,
     LOSS_FLOOR,
-    RISK_AXIS,
     RISK_CEILING,
     Branch,
     EvaluationResult,
@@ -17,6 +16,7 @@ from rulebend.evaluator import (
     situation_risk,
 )
 from rulebend.model import (
+    RISK_AXIS,
     Behaviour,
     BehaviourKind,
     CharacterProfile,

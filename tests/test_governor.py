@@ -1,6 +1,7 @@
 """Governor: candidate enumeration, pipeline runs, arbitration."""
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from rulebend import evaluator
 from rulebend.casekb import CaseBase
@@ -8,7 +9,6 @@ from rulebend.governor import (
     ARBITRATION_PRIORITY,
     GovernorError,
     Recommendation,
-    arbitrate,
     candidate_behaviours,
     decide,
 )
@@ -19,6 +19,7 @@ from rulebend.model import (
     CharacterProfile,
     ContextError,
     DecisionContext,
+    EPSILON_CLASSES,
     Instruction,
     ReminderState,
 )
@@ -57,12 +58,6 @@ class TestCandidates:
         assert only.kind is BehaviourKind.SNOOZE
         assert only.obeys is Instruction.SNOOZE
 
-    def test_pending_instruction_without_a_name_raises(self):
-        ctx = pending_context(Instruction.SNOOZE)
-        object.__setattr__(ctx, "last_instruction", None)  # bypass __post_init__
-        with pytest.raises(ContextError, match="must name an instruction"):
-            candidate_behaviours(ctx)
-
     def test_pending_acknowledge_yields_the_obeying_wait(self):
         ctx = pending_context(Instruction.ACKNOWLEDGE)
         (only,) = candidate_behaviours(ctx)
@@ -90,6 +85,27 @@ class TestCandidates:
     def test_fresh_cycle_reminds(self):
         (only,) = candidate_behaviours(ctx_with())
         assert only.kind is BehaviourKind.REMIND
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        epsilon_m=st.sampled_from(EPSILON_CLASSES),
+        missed_doses=st.floats(min_value=0.0, max_value=10.0),
+        follow_ups=st.integers(0, 6),
+        reminder_state=st.sampled_from(ReminderState),
+        last_instruction=st.sampled_from(Instruction),
+        acknowledged_without_taking=st.booleans(),
+        snoozes_granted=st.integers(0, 6),
+        snooze_remaining=st.integers(0, 3),
+        step=st.integers(0, 29),
+    )
+    def test_a_pending_instruction_leaves_one_candidate(self, **fields):
+        # Recommendation.chosen needs no obey-first rule: with a single
+        # candidate there is nothing for a preference to choose between.
+        try:
+            ctx = DecisionContext(instruction_pending=True, **fields)
+        except ContextError:
+            reject()
+        assert len(candidate_behaviours(ctx)) == 1
 
 
 class TestDecide:
@@ -139,8 +155,7 @@ class TestDecide:
     def test_obeying_a_pending_snooze_is_desirable(self, seed_kb, profiles):
         rec = decide(pending_context(Instruction.SNOOZE), profiles["A"], seed_kb)
         assert [b.kind for b in rec.desirable] == [BehaviourKind.SNOOZE]
-        chosen = arbitrate(rec, pending_instruction=Instruction.SNOOZE)
-        assert chosen.obeys is Instruction.SNOOZE
+        assert rec.chosen.obeys is Instruction.SNOOZE
 
     def test_never_mutates_the_case_base(self, seed_kb, profiles):
         before = seed_kb.cases
@@ -222,11 +237,11 @@ class TestAssessmentTable:
 
 
 class TestArbitrate:
+    """``Recommendation.chosen``: the fallback, or else the first desirable
+    behaviour in ARBITRATION_PRIORITY."""
+
     def _rec(self, *behaviours, fallback=None):
-        board = Blackboard(
-            context=breach_context(),
-            profile=CharacterProfile("T", 5.0, 5.0, 5.0),
-        )
+        board = Blackboard(profile=CharacterProfile("T", 5.0, 5.0, 5.0))
         return Recommendation(
             desirable=tuple(behaviours), fallback=fallback, blackboard=board
         )
@@ -244,24 +259,17 @@ class TestArbitrate:
             Behaviour(BehaviourKind.RECORD),
             Behaviour(BehaviourKind.REPORT),
         )
-        assert arbitrate(rec).kind is BehaviourKind.REPORT
+        assert rec.chosen.kind is BehaviourKind.REPORT
         rec = self._rec(
             Behaviour(BehaviourKind.FOLLOW_UP), Behaviour(BehaviourKind.RECORD)
         )
-        assert arbitrate(rec).kind is BehaviourKind.RECORD
-
-    def test_an_obeying_behaviour_beats_priority(self):
-        obeying = Behaviour(BehaviourKind.SNOOZE, obeys=Instruction.SNOOZE)
-        rec = self._rec(Behaviour(BehaviourKind.REPORT), obeying)
-        assert arbitrate(rec, pending_instruction=Instruction.SNOOZE) is obeying
-        # without the instruction the priority order reasserts itself
-        assert arbitrate(rec).kind is BehaviourKind.REPORT
+        assert rec.chosen.kind is BehaviourKind.RECORD
 
     def test_fallback_recommendation_is_returned_directly(self):
         fallback = Behaviour(BehaviourKind.FOLLOW_UP)
         rec = self._rec(fallback=fallback)
-        assert arbitrate(rec) is fallback
+        assert rec.chosen is fallback
 
     def test_empty_recommendation_is_an_error(self):
         with pytest.raises(GovernorError):
-            arbitrate(self._rec())
+            self._rec().chosen

@@ -1,7 +1,9 @@
+import dataclasses
+import math
+
 import pytest
 
 from rulebend.model import (
-    AUTONOMY,
     Behaviour,
     BehaviourKind,
     Blackboard,
@@ -16,7 +18,7 @@ from rulebend.model import (
     ReminderState,
     RuleVerdict,
     SIMULATED_KINDS,
-    WELLBEING,
+    TRAIT_AXES,
     validate_profile,
 )
 
@@ -61,14 +63,19 @@ class TestGammaSpec:
 
 
 class TestCharacterProfile:
-    def test_weight_for_known_tags(self):
-        profile = make_profile(wellbeing=3.0, autonomy=7.0)
-        assert profile.weight_for(WELLBEING) == 3.0
-        assert profile.weight_for(AUTONOMY) == 7.0
+    def test_trait_axes_are_the_profile_fields_in_order(self):
+        names = tuple(f.name for f in dataclasses.fields(CharacterProfile))
+        assert names == ("name",) + TRAIT_AXES
 
-    def test_weight_for_unknown_tag_raises(self):
+    @pytest.mark.parametrize("field", TRAIT_AXES)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "5", 10.5])
+    def test_construction_rejects_an_invalid_trait(self, field, value):
         with pytest.raises(ProfileError):
-            make_profile().weight_for("fame")
+            make_profile(**{field: value})
+
+    def test_construction_rejects_an_empty_name(self):
+        with pytest.raises(ProfileError, match="non-empty"):
+            make_profile(name="")
 
     @pytest.mark.parametrize("field", ["wellbeing", "autonomy", "risk_propensity"])
     @pytest.mark.parametrize("value", [-0.1, 10.1, True, "5"])
@@ -156,13 +163,13 @@ class TestBlackboard:
         )
 
     def test_post_and_lookup(self):
-        board = Blackboard(context=breach_context(), profile=make_profile())
+        board = Blackboard(profile=make_profile())
         board.post(self._entry(BehaviourKind.FOLLOW_UP))
         (entry,) = board.entries
         assert entry.behaviour.kind is BehaviourKind.FOLLOW_UP
 
     def test_duplicate_post_rejected(self):
-        board = Blackboard(context=breach_context(), profile=make_profile())
+        board = Blackboard(profile=make_profile())
         board.post(self._entry(BehaviourKind.RECORD))
         with pytest.raises(ModelError):
             board.post(self._entry(BehaviourKind.RECORD))
